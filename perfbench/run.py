@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload additive_ingest --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload additive_ingest --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics on the unmodified
 ``repro.cli serve``; ``--trace 1`` runs traced and untraced servers in
@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from probe import SpeedProbe
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -51,8 +53,6 @@ END_TO_END_UNITS = {
     "ingest_pairs_per_s": "pairs/s",
     "read_p50_ms": "ms",
     "read_p99_ms": "ms",
-    "sliding_p50_ms": "ms",
-    "sliding_p90_ms": "ms",
     "peak_rss_mb": "MB",
     "served_rse": "ratio",
 }
@@ -159,8 +159,11 @@ class Server:
 @dataclass
 class ServedRun:
     traced: bool
-    setup_s: float
-    ingest_s: float
+    #: perf_counter at launch, at the ``serving`` announce and at the
+    #: ``ingest-finished`` announce.
+    launched: float
+    serving_at: float
+    finished_at: float
     records: list
     unsent: int
     peak_rss_mb: float
@@ -169,6 +172,10 @@ class ServedRun:
     load_end: float
     spans: list | None = None
     ingest_error: str | None = None
+
+    @property
+    def ingest_s(self) -> float:
+        return self.finished_at - self.serving_at
 
 
 class Bench:
@@ -231,12 +238,12 @@ class Bench:
         command = self.server_command(spans_path)
         return Server(command, self.env, self.work / f"server-{self.launches}.err")
 
-    def setup_only(self) -> float:
-        """Launch a server, time it to ``serving``, kill it."""
+    def setup_only(self) -> tuple[float, float]:
+        """Launch a server, wait for ``serving``, kill it; return both times."""
         server = self.launch()
         try:
             at, _ = server.wait_for("serving")
-            return at - server.launched
+            return server.launched, at
         finally:
             server.kill()
 
@@ -291,8 +298,9 @@ class Bench:
             spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
         return ServedRun(
             traced=traced,
-            setup_s=serving_at - server.launched,
-            ingest_s=finished_at - serving_at,
+            launched=server.launched,
+            serving_at=serving_at,
+            finished_at=finished_at,
             records=load["records"],
             unsent=load["unsent"],
             peak_rss_mb=peak_rss,
@@ -345,17 +353,20 @@ def run_benchmark(
         log(f"{workload.name}: {workload.method}, {pairs} pairs, {bench.inputs.users.size} users")
         phase("inputs")
         runs: list[ServedRun] = []
-        setups: list[float] = []
         if trace:
             for traced in TRACE_ORDER:
                 runs.append(bench.served_run(traced))
                 phase("traced run" if traced else "untraced run")
         else:
-            setups = [bench.setup_only() for _ in range(SETUP_LAUNCHES - 1)]
-            phase("set-up launches")
-            runs.append(bench.served_run(False))
-            setups.append(runs[-1].setup_s)
-            phase(f"served run (ingest {runs[-1].ingest_s:.1f} s)")
+            with SpeedProbe() as probe:
+                windows = [bench.setup_only() for _ in range(SETUP_LAUNCHES - 1)]
+                phase("set-up launches")
+                runs.append(bench.served_run(False))
+            windows.append((runs[-1].launched, runs[-1].serving_at))
+            # (seconds, slowdown) per set-up launch.
+            setups = [(end - start, probe.slowdown(start, end)) for start, end in windows]
+            slowdown = probe.slowdown(runs[-1].serving_at, runs[-1].finished_at)
+            phase(f"served run (ingest {runs[-1].ingest_s:.1f} s, slowdown {slowdown:.3f})")
         expected = gate.replay(workload, bench.inputs)
         phase("replay")
     finally:
@@ -403,15 +414,20 @@ def run_benchmark(
     else:
         run = runs[0]
         reads = _latencies_ms(run.records, ("batch_spread", "topk"))
-        slidings = _latencies_ms(run.records, ("sliding",))
-        log(f"samples: {len(reads)} reads, {len(slidings)} sliding; setups {setups}")
+        slidings = sum(1 for r in run.records if r[2] == "sliding")
+        log(f"samples: {len(reads)} reads, {slidings} sliding")
+        log("set-up s, slowdown: " + ", ".join(f"{s:.3f} {d:.3f}" for s, d in setups))
+        ingest = pairs / run.ingest_s
+        read_p50 = _percentile(reads, 50)
+        log(f"unscaled: ingest_pairs_per_s {ingest:.6g}, read_p50_ms {read_p50:.6g}")
+        # At reference speed (probe.py): rates times the slowdown, times
+        # divided by it.  read_p99_ms stays as measured: scaling it widened
+        # its run-to-run spread on both workloads (README.md).
         values = {
-            "setup_s": statistics.median(setups),
-            "ingest_pairs_per_s": pairs / run.ingest_s,
-            "read_p50_ms": _percentile(reads, 50),
+            "setup_s": statistics.median(s / d for s, d in setups),
+            "ingest_pairs_per_s": ingest * slowdown,
+            "read_p50_ms": read_p50 / slowdown,
             "read_p99_ms": _percentile(reads, 99),
-            "sliding_p50_ms": _percentile(slidings, 50),
-            "sliding_p90_ms": _percentile(slidings, 90),
             "peak_rss_mb": run.peak_rss_mb,
             "served_rse": gate.served_rse(bench.inputs, run.served.batch_spread),
         }
