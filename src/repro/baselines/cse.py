@@ -29,6 +29,7 @@ Known limitations faithfully reproduced:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,20 @@ from repro.engine.kernels import (
 from repro.hashing import HashFamily, hash64
 from repro.sketches.bitarray import BitArray
 from repro.state import UserArena
+
+
+@functools.lru_cache(maxsize=None)
+def _local_terms(m: int) -> np.ndarray:
+    """The local term ``-m ln(U_hat / m)`` for every count ``U_hat`` in 0..m.
+
+    Entry 0 (a saturated virtual sketch) pins at the range maximum
+    ``m ln m``.  Built with ``math.log`` once per ``m``; the scalar and the
+    array closed forms both read it, so they cannot disagree.
+    """
+    terms = [m * math.log(m)] + [-m * math.log(zeros / m) for zeros in range(1, m + 1)]
+    table = np.array(terms, dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 class CSE(BatchUpdatable, CardinalityEstimator):
@@ -103,18 +118,28 @@ class CSE(BatchUpdatable, CardinalityEstimator):
 
         Shared by the scalar path (current array state) and the batch path
         (counts reconstructed as of a user's last arrival), so the two always
-        agree bit-for-bit.
+        agree bit-for-bit.  :meth:`_estimates_from_counts` is its array form.
         """
-        if virtual_zeros == 0:
-            # Virtual sketch saturated: pin at the estimator's maximum range.
-            local_term = self.m * math.log(self.m)
-        else:
-            local_term = -self.m * math.log(virtual_zeros / self.m)
+        local_term = float(_local_terms(self.m)[virtual_zeros])
+        return max(0.0, local_term + self._correction(global_zero_fraction))
+
+    def _estimates_from_counts(
+        self, virtual_zeros: np.ndarray, global_zero_fraction: float
+    ) -> np.ndarray:
+        """:meth:`_estimate_from_counts` over a column of virtual-zero counts.
+
+        Same table, same float additions; ``max(0.0, x)`` becomes
+        ``np.where(x > 0.0, x, 0.0)``, so every element is bit-identical to
+        the scalar formula.
+        """
+        total = _local_terms(self.m)[virtual_zeros] + self._correction(global_zero_fraction)
+        return np.where(total > 0.0, total, 0.0)
+
+    def _correction(self, global_zero_fraction: float) -> float:
+        """The global fill term ``m ln(U / M)`` (clamped on a full array)."""
         if global_zero_fraction <= 0.0:
-            correction = self.m * math.log(1.0 / self.M)
-        else:
-            correction = self.m * math.log(global_zero_fraction)
-        return max(0.0, local_term + correction)
+            return self.m * math.log(1.0 / self.M)
+        return self.m * math.log(global_zero_fraction)
 
     def _intern_batch(self, batch: EncodedBatch) -> np.ndarray:
         """Arena codes of a batch's unique users (interned in batch order)."""
@@ -227,11 +252,12 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         """Batch :meth:`estimate_fresh` in input order, decoded vectorised.
 
         One ``(n_users, m)`` position gather and one axis-1 zero count
-        replace the per-user O(m) scans; the closed-form formula is the same
-        scalar :meth:`_estimate_from_counts`, so the results are bit-identical
-        to calling :meth:`estimate_fresh` per user.
+        replace the per-user O(m) scans; the closed form is
+        :meth:`_estimates_from_counts`, the array form of the scalar
+        formula, so the results are bit-identical to calling
+        :meth:`estimate_fresh` per user.
         """
-        from repro.engine.query import positions_matrix_for_users, row_zero_bit_counts
+        from repro.engine.query import positions_matrix_for_users
 
         users = list(users)
         results = [0.0] * len(users)
@@ -241,11 +267,31 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         matrix = positions_matrix_for_users(
             self._family, self._positions_cache, [users[index] for index in tracked]
         )
-        virtual_zeros = row_zero_bit_counts(self._bits, matrix)
-        global_zero_fraction = self._bits.zero_fraction
-        for index, zeros in zip(tracked, virtual_zeros.tolist()):
-            results[index] = self._estimate_from_counts(int(zeros), global_zero_fraction)
+        values = self._fresh_estimates_for(self._bits, matrix)
+        for index, value in zip(tracked, values.tolist()):
+            results[index] = value
         return results
+
+    def _fresh_estimates_for(self, bits: BitArray, positions: np.ndarray) -> np.ndarray:
+        """Estimates of the users with ``(n, m)`` ``positions``, read off ``bits``.
+
+        The whole-population decode shared by :meth:`estimate_fresh_many`
+        (this estimator's own array) and the cached sliding merge (a merged
+        array of the same dimensioning).
+        """
+        from repro.engine.query import row_zero_bit_counts
+
+        virtual_zeros = row_zero_bit_counts(bits, positions)
+        return self._estimates_from_counts(virtual_zeros, bits.zero_fraction)
+
+    def estimate_fresh_all(self) -> tuple[list[object], np.ndarray]:
+        """Every tracked user and its :meth:`estimate_fresh` value, in intern order.
+
+        :meth:`estimate_fresh_many` over the whole population without the
+        per-user membership checks (every interned user is tracked).
+        """
+        positions = self._arena.all_positions()
+        return self._arena.users(), self._fresh_estimates_for(self._bits, positions)
 
     def estimates(self) -> dict[object, float]:
         """Return the latest cached estimate of every observed user."""

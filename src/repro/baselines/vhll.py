@@ -21,6 +21,7 @@ matching the evaluation protocol of Section V-B.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,6 +40,20 @@ from repro.hashing.geometric import geometric_rank_array
 from repro.sketches.hll import alpha_m
 from repro.sketches.registers import RegisterArray
 from repro.state import UserArena
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_terms(m: int) -> np.ndarray:
+    """The linear-counting local term ``m ln(m / z)`` for every count z in 0..m.
+
+    Entry 0 is never selected (linear counting needs a zero register).
+    Built with ``math.log`` once per ``m``; the scalar and the array closed
+    forms both read it, so they cannot disagree.
+    """
+    terms = [math.nan] + [m * math.log(m / zeros) for zeros in range(1, m + 1)]
+    table = np.array(terms, dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 class VirtualHLL(BatchUpdatable, CardinalityEstimator):
@@ -130,9 +145,25 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         """
         raw_local = self._alpha_m * self.m * self.m / virtual_harmonic
         if raw_local < 2.5 * self.m and virtual_zeros > 0:
-            raw_local = self.m * math.log(self.m / virtual_zeros)
+            raw_local = float(_linear_terms(self.m)[virtual_zeros])
         scale = self.M / (self.M - self.m)
         return max(0.0, scale * (raw_local - global_term))
+
+    def _estimates_from_stats(
+        self, virtual_harmonic: np.ndarray, virtual_zeros: np.ndarray, global_term: float
+    ) -> np.ndarray:
+        """:meth:`_estimate_from_stats` over columns of per-user statistics.
+
+        The same float operations element-wise, the same linear-counting
+        table, and ``np.where(x > 0.0, x, 0.0)`` for ``max(0.0, x)`` — every
+        element is bit-identical to the scalar formula.
+        """
+        raw_local = self._alpha_m * self.m * self.m / virtual_harmonic
+        linear = (raw_local < 2.5 * self.m) & (virtual_zeros > 0)
+        raw_local = np.where(linear, _linear_terms(self.m)[virtual_zeros], raw_local)
+        scale = self.M / (self.M - self.m)
+        total = scale * (raw_local - global_term)
+        return np.where(total > 0.0, total, 0.0)
 
     def _global_cardinality_estimate(self) -> float:
         """HLL estimate of the total distinct-pair count over the whole array.
@@ -282,15 +313,11 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         One ``(n_users, m)`` register gather plus axis-1 harmonic-sum and
         zero-count reductions replace the per-user O(m) scans; the shared
         global correction term is evaluated once (it is user-independent)
-        and the closed-form formula is the scalar :meth:`_estimate_from_stats`,
-        so results are bit-identical to per-user :meth:`estimate_fresh`.
+        and the closed form is :meth:`_estimates_from_stats`, the array form
+        of the scalar formula, so results are bit-identical to per-user
+        :meth:`estimate_fresh`.
         """
-        from repro.engine.query import (
-            positions_matrix_for_users,
-            row_harmonic_sums,
-            row_register_values,
-            row_zero_counts,
-        )
+        from repro.engine.query import positions_matrix_for_users
 
         users = list(users)
         results = [0.0] * len(users)
@@ -300,19 +327,38 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         matrix = positions_matrix_for_users(
             self._family, self._positions_cache, [users[index] for index in tracked]
         )
-        values = row_register_values(self._registers, matrix)
-        harmonics = row_harmonic_sums(values)
-        zeros = row_zero_counts(values)
-        global_term = (self.m / self.M) * self._global_estimate_from(
-            self._registers.harmonic_sum, self._registers.zeros
-        )
-        for index, harmonic, zero_count in zip(
-            tracked, harmonics.tolist(), zeros.tolist()
-        ):
-            results[index] = self._estimate_from_stats(
-                harmonic, int(zero_count), global_term
-            )
+        values = self._fresh_estimates_for(self._registers, matrix)
+        for index, value in zip(tracked, values.tolist()):
+            results[index] = value
         return results
+
+    def _fresh_estimates_for(
+        self, registers: RegisterArray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Estimates of the users with ``(n, m)`` ``positions``, read off ``registers``.
+
+        The whole-population decode shared by :meth:`estimate_fresh_many`
+        (this estimator's own array) and the cached sliding merge (a merged
+        array of the same dimensioning).
+        """
+        from repro.engine.query import row_harmonic_sums, row_register_values, row_zero_counts
+
+        values = row_register_values(registers, positions)
+        global_term = (self.m / self.M) * self._global_estimate_from(
+            registers.harmonic_sum, registers.zeros
+        )
+        return self._estimates_from_stats(
+            row_harmonic_sums(values), row_zero_counts(values), global_term
+        )
+
+    def estimate_fresh_all(self) -> tuple[list[object], np.ndarray]:
+        """Every tracked user and its :meth:`estimate_fresh` value, in intern order.
+
+        :meth:`estimate_fresh_many` over the whole population without the
+        per-user membership checks (every interned user is tracked).
+        """
+        positions = self._arena.all_positions()
+        return self._arena.users(), self._fresh_estimates_for(self._registers, positions)
 
     def estimates(self) -> dict[object, float]:
         """Return the latest cached estimate of every observed user."""

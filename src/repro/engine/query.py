@@ -98,17 +98,23 @@ def row_zero_bit_counts(bits: Any, positions_matrix: np.ndarray) -> np.ndarray:
 
     One flat gather plus an axis-1 count; row ``i`` equals the scalar
     ``int(np.count_nonzero(~bits.get_bits(positions_matrix[i])))`` exactly
-    (integer counting has no rounding to disagree on).
+    (integer counting has no rounding to disagree on).  A gather of at
+    least one position per 8 bits of the array (a whole-population
+    refresh) unpacks the array once and takes from the unpacked bits, which
+    is cheaper per position than :meth:`~repro.sketches.BitArray.get_bits`
+    once the unpack is amortised.
     """
+    if positions_matrix.size * 8 >= bits.size:
+        ones = np.count_nonzero(np.take(bits.to_numpy(), positions_matrix), axis=1)
+        return positions_matrix.shape[1] - ones
     flat = positions_matrix.ravel()
     zero = ~bits.get_bits(flat)
     return zero.reshape(positions_matrix.shape).sum(axis=1)
 
 
 def row_register_values(registers: Any, positions_matrix: np.ndarray) -> np.ndarray:
-    """Gather the register values at every position of a ``(n, m)`` matrix."""
-    flat = positions_matrix.ravel()
-    return registers.get_many(flat).reshape(positions_matrix.shape)
+    """Gather the raw register values at every position of a ``(n, m)`` matrix."""
+    return np.take(registers.values, positions_matrix)
 
 
 def row_harmonic_sums(values_matrix: np.ndarray) -> np.ndarray:

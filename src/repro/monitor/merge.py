@@ -32,13 +32,23 @@ test-suite):
 All merges require identical dimensioning and seeds on both sides — the
 :class:`~repro.monitor.window.WindowedEstimator` guarantees this by building
 every epoch from the same factory.
+
+Two implementations of the same merge live here.  :func:`merge_into` /
+:func:`merged_copy` combine whole estimator objects; they are the reference
+behind ``window_estimates`` and the only path for the per-user-sketch
+baselines (LPC, HLL++).  :func:`sliding_prefix` is the cached form the
+sliding queries use: it keeps a closed-epoch prefix as raw arrays (shared
+array union plus the union's users for CSE/vHLL, left-fold estimate sums
+for FreeBS/FreeRS) and adds the live epoch per query, returning
+:class:`EstimateColumns` with the same keys, order and values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import copy
+import itertools
 
 import numpy as np
 
@@ -49,6 +59,9 @@ from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 from repro.engine.sharded import ShardedEstimator
+from repro.sketches.bitarray import BitArray
+from repro.sketches.registers import RegisterArray
+from repro.state import UserArena
 
 #: Merge semantics per estimator class: ``exact`` means the merged estimate
 #: equals a single run's fresh re-estimate over the union stream;
@@ -242,15 +255,9 @@ def refresh_estimates_from_state(estimator) -> None:
             refresh_estimates_from_state(shard)
         return
     if isinstance(estimator, (CSE, VirtualHLL)):
-        users = tracked_users(estimator)
-        values = estimator.estimate_fresh_many(users)
-        arena = getattr(estimator, "_arena", None)
-        if arena is not None and len(users) == arena.n_users:
-            # users is the full intern-order population: one column write.
-            arena.set_all_estimates(np.asarray(values, dtype=np.float64))
-            return
-        for user, value in zip(users, values):
-            estimator._estimates[user] = value
+        # The full intern-order population: one column write.
+        _users, values = estimator.estimate_fresh_all()
+        estimator._arena.set_all_estimates(values)
         return
     if isinstance(estimator, (PerUserLPC, PerUserHLLPP)):
         for user, sketch in estimator._sketches.items():
@@ -273,8 +280,8 @@ def fresh_estimates(estimator) -> dict[object, float]:
             combined.update(fresh_estimates(shard))
         return combined
     if isinstance(estimator, (CSE, VirtualHLL)):
-        users = tracked_users(estimator)
-        return dict(zip(users, estimator.estimate_fresh_many(users)))
+        users, values = estimator.estimate_fresh_all()
+        return dict(zip(users, values.tolist()))
     return estimator.estimates()
 
 
@@ -309,3 +316,192 @@ def merged_estimates(estimators: Sequence) -> dict[object, float]:
     if len(estimators) == 1:
         return fresh_estimates(estimators[0])
     return merged_copy(estimators).estimates()
+
+
+# -- cached sliding merges ------------------------------------------------------
+
+
+class EstimateColumns(Mapping):
+    """Per-user estimates as two columns: ``users`` and float64 ``column``.
+
+    The result of a cached sliding merge: a read-only mapping in ``users``
+    order that the score table takes as-is
+    (:meth:`~repro.state.ScoreTable.replace`).  ``column`` belongs to this
+    object; it is never a view of a buffer the cache reuses.
+    """
+
+    __slots__ = ("users", "column", "_index")
+
+    def __init__(self, users: list, column: np.ndarray) -> None:
+        self.users = users
+        self.column = column
+        self._index: dict[object, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self.users)
+
+    def __getitem__(self, user: object) -> float:
+        index = self._index
+        if index is None:
+            index = self._index = {key: code for code, key in enumerate(self.users)}
+        return float(self.column[index[user]])
+
+    def items(self):  # a lazy (user, estimate) iterator, not an ItemsView
+        return zip(self.users, self.column.tolist())
+
+
+def as_columns(estimates: Mapping[object, float]) -> tuple[list, np.ndarray]:
+    """``(users, float64 estimates)`` of an estimate mapping, in its order."""
+    if isinstance(estimates, EstimateColumns):
+        return estimates.users, estimates.column
+    users = list(estimates)
+    return users, np.fromiter(estimates.values(), dtype=np.float64, count=len(users))
+
+
+class _SharedArrayPrefix:
+    """CSE/vHLL closed epochs as one shared-array union plus its users.
+
+    Users are held in a :class:`~repro.state.UserArena` in merge order: the
+    oldest epoch's users in intern order, then each later epoch's new users
+    in its own intern order — the order :func:`merged_copy` produces.  The
+    live epoch's users are appended as a tail slice (its arena only
+    appends), so a query interns only the users it has not seen yet.
+    """
+
+    def __init__(
+        self,
+        estimators: Sequence,
+        shared: Callable[[object], BitArray | RegisterArray],
+        union: Callable,
+    ) -> None:
+        first = estimators[0]
+        self._config = (first.M, first.m, first.seed)
+        self._shared = shared
+        self._union = union
+        merged = shared(first).copy()
+        users = UserArena(m=first.m, family=first._family, owner="sliding")
+        users.adopt(first._arena)
+        for other in estimators[1:]:
+            self._check(other)
+            union(merged, shared(other))
+            users.adopt(other._arena, published_only=True)
+        self._merged = merged
+        self._users = users
+        self._scratch: BitArray | RegisterArray | None = None
+        self._live_seen = 0
+
+    def _check(self, other) -> None:
+        _require((other.M, other.m, other.seed) == self._config, "memory, virtual size and seed")
+
+    def query(self, live) -> EstimateColumns:
+        self._check(live)
+        self._users.adopt(live._arena, self._live_seen, published_only=True)
+        self._live_seen = live._arena.n_users
+        scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = self._merged.copy()
+        else:
+            scratch.copy_from(self._merged)
+        # union_update / merge_max recount the global statistics from the
+        # merged array, exactly as merge_into leaves them.
+        self._union(scratch, self._shared(live))
+        values = live._fresh_estimates_for(scratch, self._users.all_positions())
+        return EstimateColumns(self._users.users(), values)
+
+
+class _AdditivePrefix:
+    """FreeBS/FreeRS closed epochs as the left-fold sum of their estimates."""
+
+    def __init__(self, estimators: Sequence) -> None:
+        sums = dict(estimators[0]._estimates)
+        for other in estimators[1:]:
+            for user, value in other._estimates.items():
+                sums[user] = sums.get(user, 0.0) + value
+        self._users = list(sums)
+        self._codes = {user: code for code, user in enumerate(self._users)}
+        self._sums = np.fromiter(sums.values(), dtype=np.float64, count=len(sums))
+
+    def query(self, live) -> EstimateColumns:
+        estimates = live._estimates
+        get = self._codes.get
+        codes = np.fromiter(
+            (get(user, -1) for user in estimates), dtype=np.int64, count=len(estimates)
+        )
+        new = codes < 0
+        known = len(self._users)
+        codes[new] = np.arange(known, known + int(np.count_nonzero(new)))
+        users = self._users + list(itertools.compress(estimates, new.tolist()))
+        values = np.zeros(len(users), dtype=np.float64)
+        values[:known] = self._sums
+        # Codes are unique, so this is one ``sum + live`` per user — the
+        # same float addition _sum_estimates performs (0.0 + v for new users).
+        values[codes] += np.fromiter(
+            estimates.values(), dtype=np.float64, count=len(estimates)
+        )
+        return EstimateColumns(users, values)
+
+
+class _ObjectPrefix:
+    """LPC/HLL++ closed epochs as a merged estimator (per-user sketch objects)."""
+
+    def __init__(self, estimators: Sequence) -> None:
+        self._merged = merged_copy(estimators)
+
+    def query(self, live) -> dict[object, float]:
+        combined = copy.deepcopy(self._merged)
+        merge_into(combined, live, refresh_estimates=False)
+        refresh_estimates_from_state(combined)
+        return combined.estimates()
+
+
+class _ShardedPrefix:
+    """Per-shard prefixes, concatenated in shard order (users are disjoint)."""
+
+    def __init__(self, estimators: Sequence) -> None:
+        first = estimators[0]
+        for other in estimators[1:]:
+            _require(
+                (other.num_shards, other.seed) == (first.num_shards, first.seed),
+                "shard count and routing seed",
+            )
+        self._parts = [
+            sliding_prefix([estimator._shards[shard] for estimator in estimators])
+            for shard in range(first.num_shards)
+        ]
+
+    def query(self, live) -> EstimateColumns:
+        columns = [
+            as_columns(part.query(shard)) for part, shard in zip(self._parts, live._shards)
+        ]
+        users = list(itertools.chain.from_iterable(part_users for part_users, _ in columns))
+        return EstimateColumns(users, np.concatenate([values for _, values in columns]))
+
+
+def sliding_prefix(estimators: Sequence):
+    """Cacheable union of closed epochs; ``.query(live)`` adds the live epoch.
+
+    ``prefix.query(live)`` equals ``merged_copy([*estimators, live])
+    .estimates()`` — same keys, same order, bit-identical values.  The
+    closed-epoch state is never modified, so one prefix serves every query
+    against the same live epoch until a rotation closes it.
+    """
+    if not estimators:
+        raise ValueError("need at least one estimator to merge")
+    first = estimators[0]
+    kind = type(first)
+    if any(type(other) is not kind for other in estimators):
+        raise TypeError("cannot merge estimators of different classes")
+    if isinstance(first, ShardedEstimator):
+        return _ShardedPrefix(estimators)
+    if isinstance(first, CSE):
+        return _SharedArrayPrefix(estimators, lambda e: e._bits, BitArray.union_update)
+    if isinstance(first, VirtualHLL):
+        return _SharedArrayPrefix(estimators, lambda e: e._registers, RegisterArray.merge_max)
+    if isinstance(first, (FreeBS, FreeRS, FreeBSBatch, FreeRSBatch)):
+        return _AdditivePrefix(estimators)
+    if isinstance(first, (PerUserLPC, PerUserHLLPP)):
+        return _ObjectPrefix(estimators)
+    raise TypeError(f"no monitor merge support for {kind.__name__}")

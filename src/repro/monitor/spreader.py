@@ -162,6 +162,15 @@ class SpreaderMonitor:
             self._incremental_capable = exactness == ADDITIVE
         return self._incremental_capable
 
+    def sliding_estimates(self, last: int | None = None) -> Mapping[object, float]:
+        """Sliding-window estimates of the last ``last`` epochs, right now.
+
+        Served from the same prefix cache the evaluation uses, so a query
+        right after an evaluation reuses its closed-epoch merge.  Caller
+        holds the ingest lock (reads live epoch state).
+        """
+        return self._merge_cache.sliding_estimates(self.window, last)
+
     def evaluate(self) -> list[AlertEvent]:
         """Fully re-rank the sliding window and emit threshold-crossing events."""
         estimates = self._merge_cache.sliding_estimates(self.window)
@@ -171,10 +180,10 @@ class SpreaderMonitor:
         self._primed = True
         self._pairs_seen = self.window.pairs_ingested
         # Cache for same-state readers (e.g. the replay feed's window
-        # records): the sliding merge deep-copies a sketch, so recomputing
-        # it per reader would double the dominant per-batch cost.  The
-        # tracker's score table *is* the window estimates (updated in
-        # place, first-seen key order).
+        # records): the sliding merge is an O(users x m) decode, so
+        # recomputing it per reader would double the dominant per-batch
+        # cost.  The tracker's score table *is* the window estimates
+        # (updated in place, first-seen key order).
         scores = self._tracker.scores
         self._last_window_estimates = scores
         enter = self._enter_threshold()

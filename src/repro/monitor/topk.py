@@ -33,6 +33,7 @@ from collections.abc import Mapping
 
 
 from repro import obs
+from repro.monitor.merge import as_columns
 from repro.state import ScoreTable
 
 
@@ -83,14 +84,14 @@ class TopKTracker:
 
         The score table is updated *in place* so surviving users keep their
         first-seen position: the insertion order — and with it every
-        tie-break — stays stable across refreshes.
+        tie-break — stays stable across refreshes.  Columnar estimates (the
+        sliding merge's :class:`~repro.monitor.merge.EstimateColumns`) go in
+        as one :meth:`~repro.state.ScoreTable.replace`, with no per-user
+        Python work.
         """
         scores = self.scores
         if estimates is not scores:
-            for user in [user for user in scores if user not in estimates]:
-                del scores[user]
-            for user, value in estimates.items():
-                scores.put(user, value)
+            scores.replace(*as_columns(estimates))
         self._rebuild_head()
 
     def _rebuild_head(self) -> None:

@@ -11,29 +11,37 @@ and cheap:
   sliding-window merge the monitor's own evaluation already cached, so the
   export adds no sketch work.  Readers hold a reference and never touch the
   live monitor — ingest proceeds regardless of reader count.
-* :class:`SlidingMergeCache` — sketch-level merges for the cold
-  ``sliding(k_epochs)`` op, cached by the *closed-epoch prefix* of the
-  window slice.  Closed epochs are immutable, so a prefix merge stays valid
-  until rotation evicts one of its epochs from the ring
-  (:meth:`SlidingMergeCache.invalidate` drops it then); only the live
-  epoch's state is merged per query.  The cached path is bit-identical to
-  :meth:`~repro.monitor.window.WindowedEstimator.window_estimates` because
-  it replays the exact same left-fold merge order.
+* :class:`SlidingMergeCache` — the sliding-window merge behind both the
+  monitor's per-batch evaluation and the ``sliding(k_epochs)`` op, cached
+  by the *closed-epoch prefix* of the window slice.  Closed epochs are
+  immutable, so a prefix stays valid until rotation moves the window past
+  it (:meth:`SlidingMergeCache.invalidate` drops it then); only the live
+  epoch is merged per query.  Prefixes are raw arrays, not estimator
+  copies (:func:`repro.monitor.merge.sliding_prefix`): for CSE/vHLL the
+  union of the shared arrays plus the union's users, for FreeBS/FreeRS the
+  left-fold sum of the closed epochs' estimates.  A query ORs / maxes the
+  live epoch into a reused scratch array, interns only the live users the
+  prefix has not seen, and evaluates the closed form over the whole
+  population as columns.  The answer is bit-identical, in the same key
+  order, to :meth:`~repro.monitor.window.WindowedEstimator.window_estimates`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import copy
 import operator
 from dataclasses import dataclass
 
+# The object-merge helpers are re-exported here (``x as x``) beside
+# fresh_estimates: perfbench/tracer.py wraps all four names in this module
+# and in repro.monitor.merge.
 from repro.monitor.merge import (
     fresh_estimates,
-    merge_into,
-    merged_copy,
-    refresh_estimates_from_state,
+    merge_into as merge_into,
+    merged_copy as merged_copy,
+    refresh_estimates_from_state as refresh_estimates_from_state,
+    sliding_prefix,
 )
 from repro.monitor.window import WindowedEstimator
 
@@ -239,35 +247,46 @@ def export_read_snapshot(monitor) -> ReadSnapshot:
 
 
 class SlidingMergeCache:
-    """Closed-epoch prefix merges for ``sliding(k_epochs)`` queries.
+    """Closed-epoch prefix merges for sliding-window queries.
 
     A ``k``-epoch sliding query merges the last ``k`` retained epochs.  All
     but the last of those are closed (immutable), so their union is cached
-    keyed by the tuple of epoch indices; per query only the live epoch is
-    merged on top.  The merge order — left fold over the slice, one
-    estimate refresh at the end — replays
-    :func:`repro.monitor.merge.merged_copy` exactly, which keeps the cached
-    path bit-identical for the additive methods too (float addition order
-    is preserved).
+    keyed by the tuple of epoch indices (see
+    :func:`~repro.monitor.merge.sliding_prefix`); per query only the live
+    epoch is merged on top.  Results keep the left-fold merge order of
+    :func:`repro.monitor.merge.merged_copy` — keys in the same order, values
+    bit-identical, float addition order preserved for the additive methods.
     """
 
     def __init__(self, max_entries: int = 16) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self._max_entries = max_entries
-        self._prefixes: dict[tuple[int, ...], object] = {}
+        #: epoch indices -> (the closed and live estimators the prefix was
+        #: built against, the prefix).
+        self._prefixes: dict[tuple[int, ...], tuple[tuple[object, ...], object]] = {}
 
     def invalidate(self, window: WindowedEstimator) -> None:
-        """Drop prefixes referencing epochs no longer retained by the ring."""
-        retained = {epoch.index for epoch in window.epochs}
-        stale = [key for key in self._prefixes if not set(key) <= retained]
-        for key in stale:
+        """Drop prefixes that do not end at the newest closed epoch.
+
+        Every prefix ends right before the live epoch it is merged with, so
+        a rotation retires all cached prefixes — including those whose
+        epochs are all still in the ring, which no query can ask for again.
+        """
+        epochs = window.epochs
+        newest_closed = epochs[-2].index if len(epochs) > 1 else None
+        for key in [key for key in self._prefixes if key[-1] != newest_closed]:
             del self._prefixes[key]
 
-    def sliding_estimates(self, window: WindowedEstimator, last: int | None = None):
+    def sliding_estimates(
+        self, window: WindowedEstimator, last: int | None = None
+    ) -> Mapping[object, float]:
         """``window.window_estimates(last)`` with the closed prefix cached.
 
-        Must run under the ingest lock (reads live epoch state).
+        Must run under the ingest lock (reads live epoch state).  Returns a
+        fresh :class:`~repro.monitor.merge.EstimateColumns` for multi-epoch
+        slices (a plain dict of fresh estimates for a one-epoch slice); the
+        caller may keep it, nothing the cache reuses is shared with it.
         """
         epochs = window.epochs
         if last is None:
@@ -278,18 +297,13 @@ class SlidingMergeCache:
         if len(slice_) == 1:
             return fresh_estimates(slice_[0].estimator)
         self.invalidate(window)
-        prefix, tail = slice_[:-1], slice_[-1]
-        key = tuple(epoch.index for epoch in prefix)
-        merged_prefix = self._prefixes.get(key)
-        if merged_prefix is None:
-            # Deferred refresh: the cached prefix carries raw merged state;
-            # estimates are refreshed once per query, after the tail merge,
-            # exactly as merged_copy does over the full slice.
-            merged_prefix = merged_copy([epoch.estimator for epoch in prefix])
+        key = tuple(epoch.index for epoch in slice_[:-1])
+        sources = tuple(epoch.estimator for epoch in slice_)
+        entry = self._prefixes.get(key)
+        if entry is None or any(a is not b for a, b in zip(entry[0], sources)):
+            # A different window (or a restored one) reusing epoch indices
+            # gets a prefix of its own.
             if len(self._prefixes) >= self._max_entries:
                 self._prefixes.clear()
-            self._prefixes[key] = merged_prefix
-        combined = copy.deepcopy(merged_prefix)
-        merge_into(combined, tail.estimator, refresh_estimates=False)
-        refresh_estimates_from_state(combined)
-        return combined.estimates()
+            entry = self._prefixes[key] = (sources, sliding_prefix(sources[:-1]))
+        return entry[1].query(sources[-1])

@@ -8,9 +8,9 @@ Two layers:
   at batch boundaries by the ingest thread — readers never take a lock, so
   any number of concurrent queries cannot stall ingest.  The cold
   ``sliding`` op performs sketch merges, so it briefly holds the ingest
-  lock and memoises closed-epoch prefixes in a
-  :class:`~repro.monitor.view.SlidingMergeCache` (invalidated on epoch
-  rotation).
+  lock and reuses the closed-epoch prefixes the monitor's own evaluation
+  keeps in its :class:`~repro.monitor.view.SlidingMergeCache`
+  (invalidated on epoch rotation).
 * :class:`EstimateServer` — the asyncio TCP front end.  One task per
   connection, requests answered in order per connection; lock-taking ops
   run on the default executor so a long merge never blocks the event loop.
@@ -25,14 +25,14 @@ version and ingest offset.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import asyncio
 import threading
 
 from repro import obs
 from repro.monitor.spreader import SpreaderMonitor
-from repro.monitor.view import ReadSnapshot, SlidingMergeCache, wire_user
+from repro.monitor.view import ReadSnapshot, wire_user
 from repro.service import frames, protocol
 from repro.service.ops import OPS, OpSpec
 from repro.service.protocol import ProtocolError
@@ -91,7 +91,7 @@ def _count_error(code: str) -> None:
     counter.add()
 
 
-def _estimates_payload(estimates: dict[object, float]) -> list:
+def _estimates_payload(estimates: Mapping[object, float]) -> list:
     return [[wire_user(user), float(value)] for user, value in estimates.items()]
 
 
@@ -109,7 +109,6 @@ class EstimateService:
         #: with the IngestHandle driving this monitor.
         self.lock = lock if lock is not None else threading.Lock()
         self._ingest_handle = ingest_handle
-        self._sliding_cache = SlidingMergeCache()
         # Queries served lives in the metrics registry (always-on: ``stats``
         # reports it even with telemetry disabled).  The registry is
         # process-global, so per-instance counts are deltas from the value
@@ -217,9 +216,7 @@ class EstimateService:
                 if self._snapshot.version == self._monitor.version
                 else self._monitor.read_snapshot()
             )
-            estimates = self._sliding_cache.sliding_estimates(
-                self._monitor.window, k_epochs
-            )
+            estimates = self._monitor.sliding_estimates(k_epochs)
         retained = len(snapshot.epoch_summaries)
         k = retained if k_epochs is None else min(k_epochs, retained)
         return snapshot, {

@@ -84,6 +84,19 @@ class BitArray:
         np.bitwise_or(self._words, other._words, out=self._words)
         self._ones = self.recount()
 
+    def copy_from(self, other: BitArray) -> None:
+        """Overwrite this array with a same-size array's bits (no allocation)."""
+        if other.size != self.size:
+            raise ValueError("can only copy bit arrays of identical size")
+        np.copyto(self._words, other._words)
+        self._ones = other._ones
+
+    def copy(self) -> BitArray:
+        """A new array holding the same bits."""
+        clone = BitArray(self.size)
+        clone.copy_from(self)
+        return clone
+
     def clear(self) -> None:
         """Reset every bit to zero."""
         self._words.fill(0)
@@ -99,12 +112,18 @@ class BitArray:
         return bool(self._words[word_index] >> np.uint64(bit) & np.uint64(1))
 
     def get_bits(self, indices: np.ndarray) -> np.ndarray:
-        """Return a boolean array with the values of the requested bits."""
+        """Return a boolean array with the values of the requested bits.
+
+        Gathers one byte per index from a ``uint8`` view of the words (bit
+        ``i`` is bit ``i % 8`` of byte ``i // 8`` in the little-endian word
+        layout :meth:`to_numpy` also relies on), which moves an eighth of
+        the memory a 64-bit word gather does.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             raise IndexError("bit index outside the array")
-        words = self._words[idx // 64]
-        return ((words >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        octets = self._words.view(np.uint8)[idx >> 3]
+        return ((octets >> (idx & 7).astype(np.uint8)) & np.uint8(1)).astype(bool)
 
     @property
     def ones(self) -> int:
@@ -136,8 +155,8 @@ class BitArray:
 
     def to_numpy(self) -> np.ndarray:
         """Return the full array as a boolean numpy vector (for analysis)."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return bits[: self.size].astype(bool)
+        bits = np.unpackbits(self._words.view(np.uint8), count=self.size, bitorder="little")
+        return bits.view(np.bool_)
 
     def __len__(self) -> int:
         return self.size

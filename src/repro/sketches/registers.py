@@ -131,6 +131,20 @@ class RegisterArray:
         self._harmonic_sum = self.recompute_harmonic_sum()
         self._zeros = self.recount_zeros()
 
+    def copy_from(self, other: RegisterArray) -> None:
+        """Overwrite this array with a same-shape array's registers and statistics."""
+        if (other.count, other.width) != (self.count, self.width):
+            raise ValueError("can only copy register arrays of identical shape")
+        np.copyto(self._values, other._values)
+        self._harmonic_sum = other._harmonic_sum
+        self._zeros = other._zeros
+
+    def copy(self) -> RegisterArray:
+        """A new array holding the same registers and statistics."""
+        clone = RegisterArray(self.count, self.width)
+        clone.copy_from(self)
+        return clone
+
     def clear(self) -> None:
         """Reset every register to zero."""
         self._values.fill(0)

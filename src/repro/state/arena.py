@@ -229,6 +229,33 @@ class UserArena:
             self._report_users(added)
         return codes
 
+    def adopt(self, source: UserArena, start: int = 0, published_only: bool = False) -> None:
+        """Intern ``source``'s users from code ``start`` on, in its intern order.
+
+        New users take their folds from ``source``, and any position rows
+        ``source`` has already materialised are copied rather than
+        recomputed (bit-identical by the hashing contract, and both arenas
+        must share the hash family).  ``published_only`` skips users
+        without a published estimate — the users an estimate-mapping
+        iteration would yield.
+        """
+        stop = source.n_users
+        codes = np.arange(start, stop, dtype=np.int64)
+        if published_only:
+            codes = codes[source._has_estimate[start:stop]]
+        if codes.size == 0:
+            return
+        keys = source._interner._keys
+        users = [keys[code] for code in codes.tolist()]
+        before = self.n_users
+        mine = self.intern_many(users, source._interner.folds(codes))
+        if self._positions is None or source._positions is None:
+            return
+        assert self._positions_ok is not None and source._positions_ok is not None
+        reuse = (mine >= before) & source._positions_ok[codes]
+        self._positions[mine[reuse]] = source._positions[codes[reuse]]
+        self._positions_ok[mine[reuse]] = True
+
     def lookup(self, user: object) -> int:
         return self._interner.lookup(user)
 
@@ -272,6 +299,22 @@ class UserArena:
             )
             self._positions_ok[missing] = True
         return self._positions[codes]
+
+    def all_positions(self) -> np.ndarray:
+        """``(n_users, m)`` positions of every user, in intern order.
+
+        Dense mode returns a view of the positions block (valid until the
+        next intern; do not write to it) instead of a fancy-indexed copy;
+        fold mode recomputes every row.
+        """
+        n = self.n_users
+        if self._positions is None:
+            return self.positions_rows(np.arange(n, dtype=np.int64))
+        assert self._positions_ok is not None
+        missing = np.flatnonzero(~self._positions_ok[:n])
+        if missing.size:
+            self.positions_rows(missing)
+        return self._positions[:n]
 
     def positions_cached_count(self) -> int:
         """Number of materialised dense rows (0 in fold mode)."""

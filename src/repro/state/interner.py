@@ -117,20 +117,22 @@ class UserInterner:
         ``folds`` — when the caller already holds the keys' 64-bit folds
         (:attr:`EncodedBatch.user_hashes` is exactly that, aligned with
         ``batch.users``) — skips recomputing ``fold_key`` per new key.
+
+        Known keys resolve in one C-level ``map`` over the dict; only the
+        misses take the Python-level :meth:`intern`, left to right, so new
+        codes follow first appearance exactly as before.
         """
-        get = self._codes.get
-        intern = self.intern
-        if folds is None:
-            codes = [
-                code if (code := get(key)) is not None else intern(key)
-                for key in keys
-            ]
-        else:
-            codes = [
-                code if (code := get(key)) is not None else intern(key, int(folds[i]))
-                for i, key in enumerate(keys)
-            ]
-        return np.array(codes, dtype=np.int64)
+        codes = list(map(self._codes.get, keys))
+        if None in codes:
+            position = codes.index(None)
+            while True:
+                fold = None if folds is None else int(folds[position])
+                codes[position] = self.intern(keys[position], fold)
+                try:
+                    position = codes.index(None, position + 1)
+                except ValueError:
+                    break
+        return np.fromiter(codes, dtype=np.int64, count=len(codes))
 
     # -- lookup ------------------------------------------------------------------
 

@@ -168,6 +168,37 @@ class ScoreTable(MutableMapping):
         self._order_cache = None
         self._order_is_identity = False
 
+    def replace(self, keys: Sequence[object], values: np.ndarray) -> None:
+        """Make the table hold exactly ``keys -> values`` (keys unique).
+
+        Same result as deleting every absent key in table order, then
+        putting each key in order: surviving keys keep their rank (their
+        first-seen position), new and re-inserted keys take fresh ranks in
+        ``keys`` order.  One interning pass and a few column writes replace
+        the per-key ``put`` loop of a full refresh.
+        """
+        codes = self._interner.intern_many(keys)
+        self._ensure_capacity(len(self._interner) - 1)
+        self._prepare_write()
+        n = len(self._interner)
+        wanted = np.zeros(n, dtype=np.bool_)
+        wanted[codes] = True
+        present = self._present[:n]
+        deleted = bool(np.any(present & ~wanted))
+        inserted = codes[~present[codes]]
+        present[:] = wanted
+        self._values[codes] = values
+        self._rank[inserted] = np.arange(
+            self._next_rank, self._next_rank + inserted.size, dtype=np.int64
+        )
+        self._next_rank += int(inserted.size)
+        self._count = int(codes.size)
+        # Without deletions every insert is a brand-new code, assigned in
+        # ``keys`` order — rank order stays code order.
+        if deleted:
+            self._order_is_identity = False
+        self._order_cache = None
+
     def __iter__(self) -> Iterator[object]:
         keys = self._interner._keys
         for code in self.ordered_codes().tolist():

@@ -93,6 +93,24 @@ class TestBitArrayBulk:
         with pytest.raises(IndexError):
             bits.get_bits(np.array([0, 16]))
 
+    @pytest.mark.parametrize("size", [64, 65, 200, 1 << 12])
+    def test_byte_gather_matches_word_shift(self, size):
+        rng = np.random.default_rng(size)
+        bits = BitArray(size)
+        bits.set_many(rng.integers(0, size, size=size // 2))
+        bits.set_bit(size - 1)
+        probes = np.array(
+            [0, 63, 64, size - 1] + rng.integers(0, size, size=64).tolist(), dtype=np.int64
+        )
+        probes = probes[probes < size]
+        words = bits._words[probes // 64]
+        expected = ((words >> (probes % 64).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        assert bits.get_bits(probes).tolist() == expected.tolist()
+        assert bits.get_bits(probes).tolist() == bits.to_numpy()[probes].tolist()
+        for outside in (-1, size):  # the bounds check survives the byte gather
+            with pytest.raises(IndexError):
+                bits.get_bits(np.array([0, outside]))
+
     def test_to_numpy_roundtrip(self):
         bits = BitArray(70)
         indices = [0, 1, 63, 64, 69]

@@ -6,15 +6,19 @@ The load-bearing contracts:
   identical to the direct monitor calls on the same state — this is what
   the service layer's acceptance smoke relies on;
 * the :class:`SlidingMergeCache` path is bit-identical to
-  ``WindowedEstimator.window_estimates`` for every method, across epoch
-  rotations (cache invalidation included).
+  ``WindowedEstimator.window_estimates`` for every method, in the same key
+  order, across epoch rotations (cache invalidation included), sharded,
+  snapshot-restored, with non-int user keys and on saturated arrays.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.monitor import MonitorSpec, ReadSnapshot, SlidingMergeCache, normalize_user_key
+from repro.monitor.snapshot import monitor_from_json, monitor_to_json
 from repro.streams import zipf_bipartite_stream
 
 _METHODS = ["FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++"]
@@ -27,13 +31,16 @@ def stream():
     )
 
 
-def _monitor(method="FreeRS", epoch_pairs=1_500, window_epochs=4):
+def _monitor(
+    method="FreeRS", epoch_pairs=1_500, window_epochs=4, shards=1, memory_bits=1 << 14
+):
     return MonitorSpec(
         method=method,
-        memory_bits=1 << 14,
+        memory_bits=memory_bits,
         expected_users=80,
         epoch_pairs=epoch_pairs,
         window_epochs=window_epochs,
+        shards=shards,
         delta=5e-3,
     ).build()
 
@@ -93,18 +100,77 @@ class TestReadSnapshot:
         assert normalize_user_key(estimates, "7") == "7"  # unseen stays as-is
 
 
+_USER_KEYS = {
+    "int": lambda user: user,
+    "str": lambda user: f"user-{user}",
+    "tuple": lambda user: ("user", user),
+}
+
+_SATURATING_BITS = 128
+
+# id -> (method, shards, user-key kind, memory bits): every method plain
+# (id = method name) and sharded, non-int keys for the arena-backed methods,
+# and a memory budget so small that the merged CSE bit array fills up
+# completely (every virtual sketch has zero zeros) and every vHLL register
+# is non-zero.
+_CACHE_CASES = {
+    **{method: (method, 1, "int", 1 << 14) for method in _METHODS},
+    **{f"{method}-2shards": (method, 2, "int", 1 << 14) for method in _METHODS},
+    **{
+        f"{method}-{keys}": (method, 1, keys, 1 << 14)
+        for method in ("CSE", "vHLL")
+        for keys in ("str", "tuple")
+    },
+    **{
+        f"{method}-saturated": (method, 1, "int", _SATURATING_BITS)
+        for method in ("CSE", "vHLL")
+    },
+}
+
+
 class TestSlidingMergeCache:
-    @pytest.mark.parametrize("method", _METHODS)
-    def test_bit_identical_to_uncached_window_estimates(self, stream, method):
-        monitor = _monitor(method=method)
+    @pytest.mark.parametrize(
+        ("method", "shards", "keys", "memory_bits"),
+        list(_CACHE_CASES.values()),
+        ids=list(_CACHE_CASES),
+    )
+    def test_bit_identical_to_uncached_window_estimates(
+        self, stream, method, shards, keys, memory_bits
+    ):
+        to_key = _USER_KEYS[keys]
+        pairs = [(to_key(user), item) for user, item in stream]
+        monitor = _monitor(method=method, shards=shards, memory_bits=memory_bits)
         cache = SlidingMergeCache()
-        window = monitor.window
-        for start in range(0, len(stream), 900):
-            monitor.observe(stream[start : start + 900])
+
+        def check(window, where):
             for last in (1, 2, window.window_epochs):
-                assert cache.sliding_estimates(window, last) == window.window_estimates(
-                    last
-                ), f"{method} sliding({last}) diverged at pair {start + 900}"
+                cached = cache.sliding_estimates(window, last)
+                reference = window.window_estimates(last)
+                assert cached == reference, f"{method} sliding({last}) diverged {where}"
+                assert list(cached) == list(reference), (
+                    f"{method} sliding({last}) key order diverged {where}"
+                )
+
+        for start in range(0, 4_500, 900):
+            monitor.observe(pairs[start : start + 900])
+            check(monitor.window, f"at pair {start + 900}")
+        # A snapshot-restored monitor answers through the same cache: its
+        # epochs reuse the original's indices but are new objects, and from
+        # here on the two live epochs see the same pairs in opposite orders.
+        restored = monitor_from_json(json.loads(json.dumps(monitor_to_json(monitor))))
+        check(restored.window, "after restore")
+        for start in range(4_500, len(pairs), 900):
+            chunk = pairs[start : start + 900]
+            monitor.observe(chunk[::-1])
+            restored.observe(chunk)
+            check(restored.window, f"restored, at pair {start + 900}")
+            check(monitor.window, f"at pair {start + 900}")
+        if memory_bits == _SATURATING_BITS:
+            merged = monitor.window.window_merged()
+            if method == "CSE":
+                assert merged._bits.zeros == 0  # all ones: every virtual sketch full
+            else:
+                assert merged._registers.zeros == 0
 
     def test_prefix_reuse_across_queries(self, stream):
         monitor = _monitor()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -224,6 +225,75 @@ class TestConcurrentIngest:
             estimates = replica.last_window_estimates()
             assert values == [float(estimates.get(user, 0.0)) for user in probe_users], (
                 f"served answer diverged from direct monitor state at pair {offset}"
+            )
+
+    def test_sliding_during_ingest_matches_replay(self, stream):
+        """``sliding`` shares the monitor's prefix cache with the ingest
+        thread's per-batch evaluations (both under the service lock).  Readers
+        on more threads than cores, with a short switch interval, must each
+        get exactly the merge of the state their stamp names, keys in order."""
+        monitor = _spec("CSE").build()
+        service = EstimateService(monitor)
+        handle = ingest_handle_for_monitor(
+            monitor,
+            stream,
+            batch_size=_BATCH,
+            rate=50_000,  # spread ingest over a few hundred ms of reads
+            on_batch=lambda _n: service.refresh(),
+            lock=service.lock,
+        )
+        server = _ServerThread(service)
+        answers = []  # (pairs_ingested, k_epochs, estimates as (user, value) list)
+        errors = []
+        k_values = (1, 2, 3, None)
+        connected = threading.Barrier(len(k_values) + 1, timeout=30.0)
+
+        def reader(k_epochs):
+            try:
+                with ServiceClient(port=server.port) as client:
+                    connected.wait()
+                    while True:
+                        done = handle.finished
+                        estimates = client.sliding(k_epochs)
+                        answers.append(
+                            (client.last_pairs_ingested, k_epochs, list(estimates.items()))
+                        )
+                        if done:
+                            return
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader, args=(k,)) for k in k_values]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            connected.wait()
+            handle.start()
+            assert handle.join(60.0)
+            for thread in readers:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert not errors
+        assert not any(thread.is_alive() for thread in readers)
+        handle.raise_if_failed()
+        offsets = {offset for offset, _k, _estimates in answers}
+        assert len(offsets) >= 3, "expected answers at several ingest offsets"
+        replica = _spec("CSE").build()
+        expected = {}
+        position = 0
+        for chunk, times in [([], None), *batch_slices(stream, batch_size=_BATCH)]:
+            replica.observe(chunk, times)
+            position += len(chunk)
+            if position in offsets:
+                for k in k_values:
+                    expected[position, k] = list(replica.window.window_estimates(k).items())
+        for offset, k, estimates in answers:
+            assert estimates == expected[offset, k], (
+                f"sliding({k}) at pair {offset} diverged from the replayed state"
             )
 
     def test_ingest_error_is_captured_and_surfaced(self):

@@ -276,9 +276,14 @@ class TestScoreTable:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["put", "del"]),
+                st.sampled_from(["put", "del", "replace"]),
                 st.integers(0, 10),
                 st.floats(0, 1000, allow_nan=False),
+                st.lists(
+                    st.tuples(st.integers(0, 10), st.floats(0, 1000, allow_nan=False)),
+                    unique_by=lambda entry: entry[0],
+                    max_size=8,
+                ),
             ),
             max_size=50,
         )
@@ -286,16 +291,36 @@ class TestScoreTable:
     def test_matches_dict_semantics_including_reinsert_order(self, ops):
         table = ScoreTable()
         reference = {}
-        for op, key, value in ops:
+        for op, key, value, entries in ops:
             if op == "put":
                 old = table.put(key, value)
                 assert old == reference.get(key)
                 reference[key] = value
+            elif op == "replace":
+                frozen = table.checkout()
+                before = list(table.items())
+                table.replace(
+                    [user for user, _ in entries],
+                    np.array([score for _, score in entries], dtype=np.float64),
+                )
+                # Reference: delete absent keys in table order, then put each key.
+                wanted = dict(entries)
+                for user in [user for user in reference if user not in wanted]:
+                    del reference[user]
+                for user, score in entries:
+                    reference[user] = score
+                assert list(frozen.items()) == before  # the checkout is isolated
             elif key in reference:
                 del table[key]
                 del reference[key]
             assert list(table.items()) == list(reference.items())
-        assert table.total() == float(np.sum(np.asarray(list(reference.values()))) if reference else 0.0)
+            assert table.total() == (
+                float(np.sum(np.asarray(list(reference.values())))) if reference else 0.0
+            )
+            expected_top = sorted(reference.items(), key=lambda item: -item[1])[:3]
+            assert [
+                (table.key_at(code), table.value_at(code)) for code in table.top_codes(3)
+            ] == expected_top
 
     def test_top_codes_equal_stable_sort(self):
         table = ScoreTable()
