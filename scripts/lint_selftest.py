@@ -34,7 +34,7 @@ EXPECTED: dict[str, dict[str, int]] = {
     "rl002_suppressed.py": {},
     "rl003_clean.py": {},
     "rl003_firing.py": {"RL003": 2},
-    "rl003_firing_marked.py": {"RL003": 1},
+    "rl003_firing_marked.py": {"RL003": 2},
     "rl003_suppressed.py": {},
     "rl004_clean": {},
     "rl004_firing": {"RL004": 4},

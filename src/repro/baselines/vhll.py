@@ -362,7 +362,7 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
 
     def estimates(self) -> dict[object, float]:
         """Return the latest cached estimate of every observed user."""
-        return dict(self._estimates)
+        return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:
         """Accounted memory of the shared register array."""

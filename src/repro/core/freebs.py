@@ -26,11 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CardinalityEstimator
-from repro.engine.base import BatchUpdatable
+from repro.engine.base import BatchUpdatable, hot_path
 from repro.engine.encoding import EncodedBatch, seed_mix
 from repro.engine.kernels import bit_change_events
 from repro.hashing import hash_pair, splitmix64_array
 from repro.sketches.bitarray import BitArray
+from repro.state import UserArena
 
 
 class FreeBS(BatchUpdatable, CardinalityEstimator):
@@ -53,9 +54,20 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         self.M = memory_bits
         self.seed = seed
         self._bits = BitArray(memory_bits)
-        self._estimates: dict[object, float] = {}
+        # Running HT sums as one arena column (no folds, no positions).
+        self._arena = UserArena(owner=self.name)
         self._pairs_processed = 0
         self._pairs_sampled = 0
+
+    @property
+    def _estimates(self):
+        """Live ``{user: running estimate}`` view over the arena column."""
+        return self._arena.estimates
+
+    @_estimates.setter
+    def _estimates(self, mapping) -> None:
+        # Snapshot restore assigns a plain dict; adopt it in mapping order.
+        self._arena.load_estimates(mapping)
 
     # -- streaming API --------------------------------------------------------
 
@@ -64,19 +76,16 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         self._pairs_processed += 1
         zero_bits_before = self._bits.zeros
         index = hash_pair(user, item, seed=self.seed) % self.M
-        changed = self._bits.set_bit(index)
-        if changed:
+        if self._bits.set_bit(index):
+            self._pairs_sampled += 1
             # q_B(t) = fraction of zero bits before this update.
             q = zero_bits_before / self.M
-            increment = 1.0 / q
-            self._estimates[user] = self._estimates.get(user, 0.0) + increment
-            self._pairs_sampled += 1
-        elif user not in self._estimates:
-            # Make sure every observed user is reported, even if all its pairs
-            # were discarded (possible for tiny users late in a full array).
-            self._estimates[user] = 0.0
-        return self._estimates[user]
+            return self._arena.add_estimate(user, 1.0 / q)
+        # Make sure every observed user is reported, even if all its pairs
+        # were discarded (possible for tiny users late in a full array).
+        return self._estimates.setdefault(user, 0.0)
 
+    @hot_path
     def update_encoded(self, batch: EncodedBatch) -> None:
         """Vectorised engine path: process a whole encoded batch at once.
 
@@ -85,8 +94,8 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         ``q_B``'s trajectory is reconstructed from the batch-start zero count
         (it drops by exactly one zero bit per event), and each increment is
         computed with the same ``1 / (zeros / M)`` expression — same
-        floating-point roundings — before being attributed to the event's
-        user in arrival order.
+        floating-point roundings — before being added to the event's user
+        in arrival order (:meth:`~repro.state.UserArena.accumulate`).
         """
         count = len(batch)
         if count == 0:
@@ -97,19 +106,15 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         ).astype(np.int64)
         events = bit_change_events(indices, ~self._bits.get_bits(indices))
 
-        for user in batch.users:
-            self._estimates.setdefault(user, 0.0)
+        # Every batch user is reported, in first-appearance order.
+        codes = self._arena.intern_many(batch.users)
+        self._arena.publish(codes)
         if events.size == 0:
             return
 
         zeros_before = self._bits.zeros - np.arange(events.size)
         increments = 1.0 / (zeros_before / self.M)
-        event_codes = batch.user_codes[events]
-        users = batch.users
-        estimates = self._estimates
-        for code, increment in zip(event_codes.tolist(), increments.tolist()):
-            user = users[code]
-            estimates[user] = estimates.get(user, 0.0) + increment
+        self._arena.accumulate(codes[batch.user_codes[events]], increments)
 
         self._bits.set_many(indices[events])
         self._pairs_sampled += int(events.size)
@@ -126,7 +131,7 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
 
     def estimates(self) -> dict[object, float]:
         """Return the current estimate of every observed user."""
-        return dict(self._estimates)
+        return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:
         """Accounted memory of the shared bit array."""

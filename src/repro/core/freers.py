@@ -25,12 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CardinalityEstimator
-from repro.engine.base import BatchUpdatable
+from repro.engine.base import BatchUpdatable, hot_path
 from repro.engine.encoding import EncodedBatch, seed_mix
 from repro.engine.kernels import register_change_events
 from repro.hashing import geometric_rank, hash_pair, splitmix64, splitmix64_array
 from repro.hashing.geometric import geometric_rank_array
 from repro.sketches.registers import RegisterArray
+from repro.state import UserArena
 
 
 class FreeRS(BatchUpdatable, CardinalityEstimator):
@@ -54,9 +55,20 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         self.M = registers
         self.seed = seed
         self._registers = RegisterArray(registers, width=register_width)
-        self._estimates: dict[object, float] = {}
+        # Running HT sums as one arena column (no folds, no positions).
+        self._arena = UserArena(owner=self.name)
         self._pairs_processed = 0
         self._pairs_sampled = 0
+
+    @property
+    def _estimates(self):
+        """Live ``{user: running estimate}`` view over the arena column."""
+        return self._arena.estimates
+
+    @_estimates.setter
+    def _estimates(self, mapping) -> None:
+        # Snapshot restore assigns a plain dict; adopt it in mapping order.
+        self._arena.load_estimates(mapping)
 
     # -- streaming API --------------------------------------------------------
 
@@ -69,15 +81,12 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         # the register choice and the rank are (approximately) independent.
         rank = geometric_rank(splitmix64(hash_value), max_rank=self._registers.max_value)
         q_before = self._registers.harmonic_sum / self.M
-        changed = self._registers.update(index, rank)
-        if changed:
-            increment = 1.0 / q_before
-            self._estimates[user] = self._estimates.get(user, 0.0) + increment
+        if self._registers.update(index, rank):
             self._pairs_sampled += 1
-        elif user not in self._estimates:
-            self._estimates[user] = 0.0
-        return self._estimates[user]
+            return self._arena.add_estimate(user, 1.0 / q_before)
+        return self._estimates.setdefault(user, 0.0)
 
+    @hot_path
     def update_encoded(self, batch: EncodedBatch) -> None:
         """Vectorised engine path: process a whole encoded batch at once.
 
@@ -87,6 +96,8 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         are replayed sequentially through :meth:`RegisterArray.update` so the
         incrementally-maintained harmonic sum — and therefore every
         ``1 / q_R`` increment — accumulates in exactly the scalar order.
+        The increments then go to their users in arrival order
+        (:meth:`~repro.state.UserArena.accumulate`).
         """
         count = len(batch)
         if count == 0:
@@ -101,25 +112,20 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
             indices, ranks, self._registers.get_many(indices)
         )
 
-        for user in batch.users:
-            self._estimates.setdefault(user, 0.0)
+        # Every batch user is reported, in first-appearance order.
+        codes = self._arena.intern_many(batch.users)
+        self._arena.publish(codes)
         if positions.size == 0:
             return
 
-        harmonic_before_start = self._registers.harmonic_sum
+        harmonic_before = np.empty(positions.size, dtype=np.float64)
+        harmonic_before[0] = self._registers.harmonic_sum
         harmonic_trajectory, _ = self._registers.apply_max_updates(
             event_registers, event_ranks
         )
-        harmonic_before = [harmonic_before_start] + harmonic_trajectory[:-1].tolist()
-
-        users = batch.users
-        codes = batch.user_codes.tolist()
-        estimates = self._estimates
-        M = self.M
-        for position, harmonic in zip(positions.tolist(), harmonic_before):
-            q_before = harmonic / M
-            user = users[codes[position]]
-            estimates[user] = estimates.get(user, 0.0) + 1.0 / q_before
+        harmonic_before[1:] = harmonic_trajectory[:-1]
+        increments = 1.0 / (harmonic_before / self.M)
+        self._arena.accumulate(codes[batch.user_codes[positions]], increments)
         self._pairs_sampled += int(positions.size)
 
     def estimate(self, user: object) -> float:
@@ -134,7 +140,7 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
 
     def estimates(self) -> dict[object, float]:
         """Return the current estimate of every observed user."""
-        return dict(self._estimates)
+        return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:
         """Accounted memory of the shared register array."""

@@ -100,7 +100,21 @@ def _estimates_from_json(triples: list) -> dict:
     return {_key_from_json(kind, key): float(value) for kind, key, value in triples}
 
 
-def _estimates_payload(estimates: dict):
+def _estimate_columns(estimator) -> tuple[list, np.ndarray]:
+    """``(users, float64 estimates)`` in first-seen order.
+
+    Arena-backed estimators hand over their user list and estimate column
+    directly; the per-user-sketch baselines go through their dict.
+    """
+    arena = getattr(estimator, "_arena", None)
+    if arena is not None:
+        return arena.estimate_columns()
+    estimates = estimator.estimates()
+    users = list(estimates)
+    return users, np.fromiter(estimates.values(), dtype=np.float64, count=len(users))
+
+
+def _estimates_payload(users: list, values: np.ndarray):
     """Estimates in wire form: columnar arrays for pure-int populations.
 
     The common case at scale — integer user ids — serialises as two base85
@@ -111,22 +125,19 @@ def _estimates_payload(estimates: dict):
     must keep the legacy path's int coercion and floats must not silently
     truncate.
     """
-    keys = list(estimates.keys())
-    if keys and all(type(key) is int for key in keys):
+    if users and set(map(type, users)) == {int}:
         try:
-            keys_arr = np.fromiter(keys, dtype=np.int64, count=len(keys))
+            keys_arr = np.fromiter(users, dtype=np.int64, count=len(users))
         except OverflowError:  # ints beyond int64: legacy triples
-            return _estimates_to_json(estimates)
-        values_arr = np.fromiter(
-            estimates.values(), dtype=np.float64, count=len(keys)
-        )
-        return {
-            "encoding": "columnar-i64",
-            "count": len(keys),
-            "keys": _encode_array(keys_arr),
-            "values": _encode_array(values_arr),
-        }
-    return _estimates_to_json(estimates)
+            pass
+        else:
+            return {
+                "encoding": "columnar-i64",
+                "count": len(users),
+                "keys": _encode_array(keys_arr),
+                "values": _encode_array(values),
+            }
+    return _estimates_to_json(dict(zip(users, values.tolist())))
 
 
 def _estimates_from_payload(payload) -> dict:
@@ -456,7 +467,7 @@ def to_obj(estimator) -> dict:
         "version": _FORMAT_VERSION,
         "kind": kind,
         "estimates": (
-            [] if kind == "Sharded" else _estimates_payload(estimator.estimates())
+            [] if kind == "Sharded" else _estimates_payload(*_estimate_columns(estimator))
         ),
         "body": body,
     }

@@ -18,7 +18,7 @@ shards (no sketch-level interleaving is required).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 import copy
 
@@ -96,6 +96,18 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
         """Vectorised :meth:`shard_of` over raw user folds (bit-identical)."""
         return route_user_hashes(user_hashes, self.num_shards, self.seed)
 
+    def shards_of(self, users: Sequence[object]) -> np.ndarray:
+        """Vectorised :meth:`shard_of`: the owner shard of every user, in order."""
+        try:
+            array = np.asarray(users)
+        except ValueError:  # ragged keys (e.g. mixed-length tuples)
+            array = None
+        if array is not None and array.ndim == 1 and array.dtype.kind in "iu":
+            folds = fold_key_array(array)
+        else:
+            folds = np.array([fold_key(user) for user in users], dtype=np.uint64)
+        return self._shards_from_hashes(folds)
+
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
@@ -118,15 +130,7 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
         users = list(users)
         if not users:
             return []
-        try:
-            array = np.asarray(users)
-        except ValueError:  # ragged keys (e.g. mixed-length tuples)
-            array = None
-        if array is not None and array.ndim == 1 and array.dtype.kind in "iu":
-            folds = fold_key_array(array)
-        else:
-            folds = np.array([fold_key(user) for user in users], dtype=np.uint64)
-        shard_ids = route_user_hashes(folds, self.num_shards, self.seed)
+        shard_ids = self.shards_of(users)
         results: list[float] = [0.0] * len(users)
         for shard_index in np.unique(shard_ids):
             positions = np.nonzero(shard_ids == shard_index)[0].tolist()

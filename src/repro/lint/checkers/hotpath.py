@@ -11,8 +11,10 @@ this rule flags the three regressions that ate the previous wins:
   ``.values()`` — the per-user dict hop the arena exists to eliminate;
 * a numpy call inside a ``for``/``while`` body — per-element numpy
   dispatch overhead, the opposite of one whole-array call;
-* in ``@hot_path`` functions: a ``for`` loop directly over a function
-  parameter — the per-element iteration the marker promises not to do.
+* in ``@hot_path`` functions: a ``for`` loop over a function parameter
+  (or an attribute of one, such as ``batch.users``), over an array's
+  ``.tolist()``, or over ``zip``/``enumerate`` of those — the per-element
+  iteration the marker promises not to do.
 
 Dunder methods in hot modules are exempt: ``__deepcopy__``,
 ``__getstate__`` and friends are snapshot/debug paths, not data paths.
@@ -41,6 +43,33 @@ def _is_hot_path_decorated(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool
         if isinstance(target, ast.Attribute) and target.attr == "hot_path":
             return True
     return False
+
+
+def _element_source(iterable: ast.expr, params: set[str]) -> str | None:
+    """What a ``for`` loop walks element by element, when it is batch data.
+
+    A parameter or an attribute of one (``batch.users``), an array's
+    ``.tolist()``, or ``zip``/``enumerate`` over any of those.
+    """
+    if isinstance(iterable, ast.Name):
+        return f"parameter `{iterable.id}`" if iterable.id in params else None
+    if isinstance(iterable, ast.Attribute):
+        root: ast.expr = iterable
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in params:
+            return f"`{ast.unparse(iterable)}`"
+        return None
+    if isinstance(iterable, ast.Call):
+        func = iterable.func
+        if isinstance(func, ast.Attribute) and func.attr == "tolist":
+            return f"`{ast.unparse(iterable)}`"
+        if isinstance(func, ast.Name) and func.id in ("zip", "enumerate"):
+            for arg in iterable.args:
+                source = _element_source(arg, params)
+                if source is not None:
+                    return source
+    return None
 
 
 def _is_numpy_call(call: ast.Call) -> bool:
@@ -121,18 +150,18 @@ class HotPathChecker(Checker):
                             "gather through the arena / a vectorized column instead",
                         )
                     )
-                if (
-                    marked
-                    and isinstance(node, ast.For)
-                    and isinstance(iterable, ast.Name)
-                    and iterable.id in params
-                ):
+                source = (
+                    _element_source(iterable, params)
+                    if marked and isinstance(node, ast.For)
+                    else None
+                )
+                if source is not None:
                     findings.append(
                         self._finding(
                             context,
                             node,
                             func,
-                            f"loops per element over parameter `{iterable.id}`",
+                            f"loops per element over {source}",
                             "vectorize over the whole batch (the @hot_path promise)",
                         )
                     )

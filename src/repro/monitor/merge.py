@@ -38,9 +38,11 @@ Two implementations of the same merge live here.  :func:`merge_into` /
 behind ``window_estimates`` and the only path for the per-user-sketch
 baselines (LPC, HLL++).  :func:`sliding_prefix` is the cached form the
 sliding queries use: it keeps a closed-epoch prefix as raw arrays (shared
-array union plus the union's users for CSE/vHLL, left-fold estimate sums
-for FreeBS/FreeRS) and adds the live epoch per query, returning
-:class:`EstimateColumns` with the same keys, order and values.
+array union plus the union's users for CSE/vHLL, one column of left-fold
+estimate sums for FreeBS/FreeRS) and adds the live epoch per query,
+returning :class:`EstimateColumns` with the same keys, order and values.
+:func:`additive_rescore` is the additive merge restricted to a few users:
+the monitor's incremental evaluation re-scores a batch's users with it.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ import numpy as np
 from repro.baselines.cse import CSE
 from repro.baselines.per_user import PerUserHLLPP, PerUserLPC
 from repro.baselines.vhll import VirtualHLL
-from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
+from repro.engine.base import hot_path
 from repro.engine.sharded import ShardedEstimator
 from repro.sketches.bitarray import BitArray
 from repro.sketches.registers import RegisterArray
 from repro.state import UserArena
+from repro.state.interner import int_probes
 
 #: Merge semantics per estimator class: ``exact`` means the merged estimate
 #: equals a single run's fresh re-estimate over the union stream;
@@ -77,7 +80,7 @@ def merge_exactness(estimator: object) -> str:
         return ADDITIVE if ADDITIVE in guarantees else EXACT
     if isinstance(estimator, (CSE, VirtualHLL, PerUserLPC, PerUserHLLPP)):
         return EXACT
-    if isinstance(estimator, (FreeBS, FreeRS, FreeBSBatch, FreeRSBatch)):
+    if isinstance(estimator, (FreeBS, FreeRS)):
         return ADDITIVE
     raise TypeError(f"no monitor merge support for {type(estimator).__name__}")
 
@@ -96,32 +99,23 @@ def _merge_registers(target_registers, source_registers) -> None:
 
 
 def _sum_estimates(target, source) -> None:
-    for user, value in source._estimates.items():
-        target._estimates[user] = target._estimates.get(user, 0.0) + value
+    """``target[u] = target.get(u, 0.0) + v`` for source's users, in its order."""
+    target._arena.add_estimates_from(source._arena)
 
 
 def tracked_users(estimator) -> list:
     """Every user the estimator carries per-user state for, in stable order.
 
-    Arena-backed estimators (CSE/vHLL) answer straight from the interner:
-    every user with any per-user state is interned, and intern order is
-    first-seen order.  For the dict-backed methods the authoritative user
-    set is the union of the estimate cache and the positions cache: a
-    snapshot-restored estimator has users only in ``_estimates`` (the
-    positions cache rebuilds lazily), while a user whose estimate was never
-    published would appear only in ``_positions_cache``.  Enumerating just
-    one of the two — the bug this helper replaces — dropped users from
-    sliding estimates.
+    Arena-backed estimators (FreeBS/FreeRS/CSE/vHLL) answer straight from
+    the interner: every user with any per-user state is interned, including
+    a CSE/vHLL user whose estimate was never published, and intern order is
+    first-seen order.  The per-user-sketch baselines publish an estimate
+    for every user they hold.
     """
     arena = getattr(estimator, "_arena", None)
     if arena is not None:
         return arena.users()
-    users = list(estimator._estimates)
-    cache = getattr(estimator, "_positions_cache", None)
-    if cache:
-        seen = estimator._estimates
-        users.extend(user for user in cache if user not in seen)
-    return users
+    return list(estimator._estimates)
 
 
 def merge_into(target, source, refresh_estimates: bool = True):
@@ -159,13 +153,6 @@ def merge_into(target, source, refresh_estimates: bool = True):
         target._pairs_processed += source._pairs_processed
         target._pairs_sampled += source._pairs_sampled
         return target
-    if isinstance(target, FreeBSBatch):
-        _require((target.M, target.seed) == (source.M, source.seed), "memory and seed")
-        np.logical_or(target._bit_state, source._bit_state, out=target._bit_state)
-        target._zero_bits = int(np.count_nonzero(~target._bit_state))
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
-        return target
     if isinstance(target, FreeRS):
         _require(
             (target.M, target._registers.width, target.seed)
@@ -176,19 +163,6 @@ def merge_into(target, source, refresh_estimates: bool = True):
         _sum_estimates(target, source)
         target._pairs_processed += source._pairs_processed
         target._pairs_sampled += source._pairs_sampled
-        return target
-    if isinstance(target, FreeRSBatch):
-        _require(
-            (target.M, target.register_width, target.seed)
-            == (source.M, source.register_width, source.seed),
-            "registers, width and seed",
-        )
-        np.maximum(target._register_state, source._register_state, out=target._register_state)
-        target._harmonic_sum = float(
-            np.sum(np.exp2(-target._register_state.astype(np.float64)))
-        )
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
         return target
     if isinstance(target, CSE):
         _require(
@@ -413,35 +387,37 @@ class _SharedArrayPrefix:
 
 
 class _AdditivePrefix:
-    """FreeBS/FreeRS closed epochs as the left-fold sum of their estimates."""
+    """FreeBS/FreeRS closed epochs as one column of left-fold estimate sums.
+
+    The sums live in an estimates-only :class:`~repro.state.UserArena`
+    whose users are in merge order: the oldest epoch's users in intern
+    order, then each later epoch's new users.  A query appends the live
+    users the prefix has not seen yet (the live arena only appends, and
+    publishes every user it interns) and adds the live column on top.
+    """
 
     def __init__(self, estimators: Sequence) -> None:
-        sums = dict(estimators[0]._estimates)
-        for other in estimators[1:]:
-            for user, value in other._estimates.items():
-                sums[user] = sums.get(user, 0.0) + value
-        self._users = list(sums)
-        self._codes = {user: code for code, user in enumerate(self._users)}
-        self._sums = np.fromiter(sums.values(), dtype=np.float64, count=len(sums))
+        sums = UserArena(owner="sliding")
+        for estimator in estimators:
+            sums.add_estimates_from(estimator._arena)
+        self._sums = sums
+        self._closed = sums.n_users
+        #: Prefix code of each live code seen so far.
+        self._live_codes = np.empty(0, dtype=np.int64)
 
     def query(self, live) -> EstimateColumns:
-        estimates = live._estimates
-        get = self._codes.get
-        codes = np.fromiter(
-            (get(user, -1) for user in estimates), dtype=np.int64, count=len(estimates)
-        )
-        new = codes < 0
-        known = len(self._users)
-        codes[new] = np.arange(known, known + int(np.count_nonzero(new)))
-        users = self._users + list(itertools.compress(estimates, new.tolist()))
-        values = np.zeros(len(users), dtype=np.float64)
-        values[:known] = self._sums
+        arena = live._arena
+        seen, n = self._live_codes.size, arena.n_users
+        if n > seen:
+            fresh = self._sums.intern_many(arena.users_since(seen))
+            self._live_codes = np.concatenate((self._live_codes, fresh))
+        sums = self._sums
+        values = np.zeros(sums.n_users, dtype=np.float64)
+        values[: self._closed] = sums.estimate_slice(self._closed)
         # Codes are unique, so this is one ``sum + live`` per user — the
         # same float addition _sum_estimates performs (0.0 + v for new users).
-        values[codes] += np.fromiter(
-            estimates.values(), dtype=np.float64, count=len(estimates)
-        )
-        return EstimateColumns(users, values)
+        values[self._live_codes] += arena.estimate_slice(n)
+        return EstimateColumns(sums.users(), values)
 
 
 class _ObjectPrefix:
@@ -500,8 +476,42 @@ def sliding_prefix(estimators: Sequence):
         return _SharedArrayPrefix(estimators, lambda e: e._bits, BitArray.union_update)
     if isinstance(first, VirtualHLL):
         return _SharedArrayPrefix(estimators, lambda e: e._registers, RegisterArray.merge_max)
-    if isinstance(first, (FreeBS, FreeRS, FreeBSBatch, FreeRSBatch)):
+    if isinstance(first, (FreeBS, FreeRS)):
         return _AdditivePrefix(estimators)
     if isinstance(first, (PerUserLPC, PerUserHLLPP)):
         return _ObjectPrefix(estimators)
     raise TypeError(f"no monitor merge support for {kind.__name__}")
+
+
+@hot_path
+def additive_rescore(estimators: Sequence, users: list) -> tuple[list, np.ndarray]:
+    """Sliding-window estimates of a few (unique) ``users`` of an additive window.
+
+    Each value is the left fold of the user's per-epoch estimates in ring
+    order, starting from 0.0 — the sum ``merged_copy`` computes, so the
+    values are bit-identical to a full sliding merge's.  The users come
+    back in the order that merge lists them: as given, or for sharded
+    epochs grouped by shard (batch order within a shard).
+    """
+    first = estimators[0]
+    if isinstance(first, ShardedEstimator):
+        shard_ids = first.shards_of(users)
+        order = np.argsort(shard_ids, kind="stable")
+        grouped = [users[position] for position in order.tolist()]
+        bounds = np.searchsorted(
+            shard_ids[order], np.arange(first.num_shards + 1)
+        ).tolist()
+        parts = [
+            additive_rescore(
+                [estimator._shards[shard] for estimator in estimators],
+                grouped[bounds[shard] : bounds[shard + 1]],
+            )[1]
+            for shard in range(first.num_shards)
+        ]
+        return grouped, np.concatenate(parts)
+    probes = int_probes(users)
+    probe = users if probes is None else probes
+    values = np.zeros(len(users), dtype=np.float64)
+    for estimator in estimators:  # repro-lint: disable=RL003(one column per retained epoch: at most window_epochs passes)
+        values += estimator._arena.estimate_column(probe)
+    return users, values

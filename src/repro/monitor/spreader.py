@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
-from repro.monitor.merge import ADDITIVE, merge_exactness
+from repro.engine.base import hot_path
+from repro.monitor.merge import ADDITIVE, additive_rescore, merge_exactness
 from repro.monitor.topk import TopKTracker
 from repro.monitor.window import WindowedEstimator
 
@@ -136,14 +140,15 @@ class SpreaderMonitor:
         Between epoch rotations, methods with *additive* sliding merges
         (FreeBS/FreeRS, sharded included) take the incremental path: only
         the users touched by this batch are re-scored (their windowed
-        estimate is the left-fold sum of their per-epoch estimates — plain
-        dict lookups), and the continuous top-k absorbs just those updates.
-        Any rotation, and every exact-merge method, falls back to the full
-        re-evaluation in :meth:`evaluate`.  Both paths produce bit-identical
-        estimates and top-k (asserted by the property suite).
+        estimate is the left-fold sum of their per-epoch estimates — one
+        estimate-column gather per epoch), and the continuous top-k absorbs
+        just those updates.  Any rotation, and every exact-merge method,
+        falls back to the full re-evaluation in :meth:`evaluate`.  Both
+        paths produce bit-identical estimates, key order and top-k
+        (asserted by the property suite).
         """
         pairs = list(pairs)  # may be a generator; it is iterated twice below
-        touched = dict.fromkeys(user for user, _item in pairs)
+        touched = list(dict.fromkeys(map(operator.itemgetter(0), pairs)))
         # Ingest that bypassed observe() (direct window.ingest calls) makes
         # the tracker's score table stale for users this batch did not touch;
         # detect it and fall back to a full re-evaluation.
@@ -203,25 +208,24 @@ class SpreaderMonitor:
         self._version += 1
         return alerts
 
-    def _evaluate_incremental(self, touched: dict[object, None]) -> list[AlertEvent]:
+    @hot_path
+    def _evaluate_incremental(self, touched: list[object]) -> list[AlertEvent]:
         """Re-score only the batch's users (additive methods, no rotation).
 
         A touched user's windowed estimate is the sum of its per-epoch
-        cached estimates in ring order — exactly the left fold the sliding
-        merge's ``_sum_estimates`` performs, so the value is bit-identical
-        to a full merge.  Untouched users' additive estimates cannot change
-        without a rotation, and the enter threshold is non-decreasing while
-        scores only grow, so scanning the touched users (for start alerts)
-        plus the active set (for end alerts) sees every possible crossing.
+        estimates in ring order (:func:`~repro.monitor.merge.additive_rescore`:
+        one estimate-column gather per epoch, left-folded with numpy) —
+        exactly the fold the sliding merge performs, so the value is
+        bit-identical to a full merge.  Untouched users' additive estimates
+        cannot change without a rotation, and the enter threshold is
+        non-decreasing while scores only grow, so scanning the touched users
+        (for start alerts) plus the active set (for end alerts) sees every
+        possible crossing.
         """
-        epoch_estimators = [epoch.estimator for epoch in self.window.epochs]
-        changed: dict[object, float] = {}
-        for user in touched:
-            value = 0.0
-            for estimator in epoch_estimators:
-                value += estimator.estimate(user)
-            changed[user] = value
-        self._tracker.apply_updates(changed)
+        users, values = additive_rescore(
+            [epoch.estimator for epoch in self.window.epochs], touched
+        )
+        codes = self._tracker.apply_updates(users, values)
         self._incremental_evaluations += 1
         obs.counter("monitor.evaluations", path="incremental").add()
         self._pairs_seen = self.window.pairs_ingested
@@ -232,12 +236,15 @@ class SpreaderMonitor:
         epoch = self.window.live_epoch.index
         timestamp = self.window.last_timestamp
         alerts: list[AlertEvent] = []
-        # Scan the dirty set in first-seen (score-table) order so alert
+        # Scan the candidates in first-seen (score-table rank) order so alert
         # emission order and sequence numbers match what a full evaluation
         # of the same state emits — the snapshot-resume identity contract.
-        for user in self._tracker.rank_order(changed):
-            estimate = changed[user]
-            if estimate >= enter and user not in self._active:
+        candidates = np.flatnonzero(values >= enter)
+        candidates = candidates[np.argsort(scores.ranks_at(codes[candidates]))]
+        candidate_values = values[candidates].tolist()
+        for position, estimate in zip(candidates.tolist(), candidate_values):  # repro-lint: disable=RL003(start-alert candidates only: batch users at or above the enter threshold)
+            user = users[position]
+            if user not in self._active:
                 self._active[user] = True
                 alerts.append(self._emit("start", user, estimate, enter, epoch, timestamp))
         alerts.extend(self._end_alerts(scores, exit_threshold, epoch, timestamp))

@@ -9,11 +9,14 @@ batch touched a handful of users.  :class:`TopKTracker` replaces that with:
   repository serves) — numpy score/rank columns behind a dict-shaped
   mapping, with O(1) copy-on-write checkouts for readers;
 * a **bounded head**: the exact top-k under the total order
-  ``(-score, first_seen_rank)``, rebuilt from a candidate pool of
-  ``old head + users whose score changed`` when updates are monotone
+  ``(-score, first_seen_rank)``.  Incremental updates arrive as columns
+  (users plus a float64 score column) and go into the table in one
+  :meth:`~repro.state.ScoreTable.put_many`.  When they are monotone
   non-decreasing (between window rotations the additive methods' estimates
   only grow, so a user whose score did not change can never displace one
-  whose score improved);
+  whose score improved), one vector compare against the old tail picks the
+  changed users that can enter the head, and one ``np.lexsort`` over those
+  plus the old head repairs it;
 * a **full refresh** path (rotations, exact-merge methods) that replaces
   the scores wholesale and re-selects the head with one vectorised
   ``np.lexsort`` partial selection — O(users log users) on the candidate
@@ -29,10 +32,12 @@ ingest/rotation sequences.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
+import numpy as np
 
 from repro import obs
+from repro.engine.base import hot_path
 from repro.monitor.merge import as_columns
 from repro.state import ScoreTable
 
@@ -47,6 +52,9 @@ class TopKTracker:
         #: Current score per user; insertion order is first-seen order.
         self.scores = ScoreTable()
         self._head: list[tuple[object, float]] = []
+        #: Score-table codes of ``_head`` (None after :meth:`restore_head`,
+        #: until the next rebuild).
+        self._head_codes: np.ndarray | None = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -67,16 +75,6 @@ class TopKTracker:
         """
         return self.scores.total()
 
-    def rank_order(self, users) -> list[object]:
-        """Sort ``users`` by first-seen rank — the canonical scan order.
-
-        The full evaluation scans the score table in insertion (first-seen)
-        order; incremental evaluations scan their dirty set through this so
-        alert emission order — and with it the alert sequence numbers a
-        resumed monitor must reproduce — is identical on both paths.
-        """
-        return sorted(users, key=self.scores.rank_of)
-
     # -- full refresh ----------------------------------------------------------
 
     def full_refresh(self, estimates: Mapping[object, float]) -> None:
@@ -96,54 +94,55 @@ class TopKTracker:
 
     def _rebuild_head(self) -> None:
         obs.counter("monitor.topk.rebuilds").add()
+        self._set_head(np.asarray(self.scores.top_codes(self.k), dtype=np.int64))
+
+    def _set_head(self, codes: np.ndarray) -> None:
         scores = self.scores
+        self._head_codes = codes
         self._head = [
-            (scores.key_at(code), scores.value_at(code))
-            for code in scores.top_codes(self.k)
+            (scores.key_at(code), scores.value_at(code)) for code in codes.tolist()
         ]
 
     # -- incremental updates ---------------------------------------------------
 
-    def apply_updates(self, changed: Mapping[object, float]) -> None:
-        """Re-score only ``changed`` users; keep the head exact.
+    @hot_path
+    def apply_updates(self, users: Sequence[object], values: np.ndarray) -> np.ndarray:
+        """Re-score only ``users`` (unique) to ``values``; keep the head exact.
 
-        Requires monotone non-decreasing scores (the additive methods'
-        between-rotation behaviour).  A decreasing score falls back to a
-        full head rebuild, so correctness never depends on the assumption.
+        Returns the users' score-table codes.  Requires monotone
+        non-decreasing scores (the additive methods' between-rotation
+        behaviour).  A decreasing score falls back to a full head rebuild,
+        so correctness never depends on the assumption.
         """
-        if not changed:
-            return
+        if len(users) == 0:
+            return np.empty(0, dtype=np.int64)
         scores = self.scores
-        decreased = False
-        for user, value in changed.items():
-            old = scores.put(user, value)
-            if old is not None and value < old:
-                decreased = True
-        if decreased or len(self._head) < min(self.k, len(scores)):
+        codes, previous = scores.put_many(users, values)
+        head_codes = self._head_codes
+        if (
+            head_codes is None
+            or bool(np.any(previous > values))
+            or len(self._head) < min(self.k, len(scores))
+        ):
             self._rebuild_head()
-            return
-        rank_of = scores.rank_of
-        pool = {user for user, _ in self._head}
-        tail_user, tail_score = self._head[-1]
+            return codes
+        ranks = scores.ranks_at(codes)
+        tail_score = self._head[-1][1]
+        tail_rank = int(scores.ranks_at(head_codes[-1:])[0])
         # The pre-update tail key is a safe (weaker) cutoff: scores only
         # grew, so anything beating the new tail also beats this one.
-        cutoff = (-tail_score, rank_of(tail_user))
-        dirty = False
-        for user in changed:
-            if user in pool:
-                dirty = True
-            elif (-scores[user], rank_of(user)) < cutoff:
-                pool.add(user)
-                dirty = True
-        if dirty:
-            obs.counter("monitor.topk.repairs").add()
-            self._head = sorted(
-                ((user, scores[user]) for user in pool),
-                key=lambda item: (-item[1], rank_of(item[0])),
-            )[: self.k]
+        entering = (values > tail_score) | ((values == tail_score) & (ranks < tail_rank))
+        if not entering.any() and not np.isin(codes, head_codes).any():
+            return codes
+        obs.counter("monitor.topk.repairs").add()
+        pool = np.union1d(head_codes, codes[entering])
+        order = np.lexsort((scores.ranks_at(pool), -scores.values_at(pool)))
+        self._set_head(pool[order[: self.k]])
+        return codes
 
     # -- snapshot plumbing -----------------------------------------------------
 
     def restore_head(self, head: list[tuple[object, float]]) -> None:
         """Adopt a checkpointed head (scores stay empty until a refresh)."""
         self._head = [(user, float(value)) for user, value in head[: self.k]]
+        self._head_codes = None

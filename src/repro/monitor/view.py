@@ -33,6 +33,8 @@ from collections.abc import Mapping, Sequence
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 # The object-merge helpers are re-exported here (``x as x``) beside
 # fresh_estimates: perfbench/tracer.py wraps all four names in this module
 # and in repro.monitor.merge.
@@ -167,8 +169,10 @@ class ReadSnapshot:
         Python-level loop).  Any miss falls back to the per-user
         :meth:`spread` loop with its normalization semantics (int/str
         duality, wire aliases), so results are identical on every path.
+        An id array (the binary wire form) goes to the gather as it is.
         """
-        users = list(users)
+        if not isinstance(users, np.ndarray):
+            users = list(users)
         if len(users) > 1:
             gather = getattr(self.estimates, "gather_exact", None)
             if gather is not None:

@@ -1,19 +1,24 @@
-"""Columnar per-user state for the virtual-sketch methods (CSE, vHLL).
+"""Columnar per-user state for the shared-sketch methods.
 
-One :class:`UserArena` replaces two Python dicts of boxed objects per
-estimator — ``{user: float}`` cached estimates and ``{user: np.ndarray(m)}``
-sketch-position rows — with numpy columns addressed by the dense codes of a
-:class:`~repro.state.interner.UserInterner`:
+One :class:`UserArena` replaces the Python dicts of boxed objects an
+estimator used to keep per user — ``{user: float}`` running or cached
+estimates, and for the virtual-sketch methods (CSE, vHLL)
+``{user: np.ndarray(m)}`` sketch-position rows — with numpy columns
+addressed by the dense codes of a :class:`~repro.state.interner.UserInterner`:
 
 =================  =========  ====================================================
 column             dtype      meaning
 =================  =========  ====================================================
-``estimate``       float64    latest cached estimate (the ``estimate()`` value)
+``estimate``       float64    the ``estimate()`` value (a running HT sum for
+                              FreeBS/FreeRS, the latest cached one for CSE/vHLL)
 ``has_estimate``   bool       whether the estimate was ever published
 ``fold``           uint64     64-bit key fold (interner-owned; positions seed)
 ``positions``      int64      ``(capacity, m)`` contiguous physical-cell rows
 ``positions_ok``   bool       whether a user's dense positions row is materialised
 =================  =========  ====================================================
+
+FreeBS/FreeRS build their arena without a hash family: estimate columns
+only, no folds and no positions.  CSE/vHLL use all five columns.
 
 Columns grow by amortised doubling; a grow copies the columns but never
 changes a code, so references held by query kernels stay valid.
@@ -38,14 +43,17 @@ equals the insertion order the dicts used to have.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from itertools import compress
 from typing import Any, Protocol
 
 import numpy as np
 
 from repro import obs
-from repro.state.interner import UserInterner
+from repro.obs import Gauge
+from repro.state.interner import Keys, UserInterner
 
 #: Default population at which an ``auto`` arena drops its dense positions
 #: block.  Chosen above the service-scale query benchmarks (100k users stay
@@ -65,21 +73,26 @@ class HashFamily(Protocol):
     def positions_from_hashes(self, folds: np.ndarray) -> np.ndarray: ...
 
 
-def _retire_gauges(owner: str, reported: list[int]) -> None:
+def _retire_gauges(gauges: tuple[Gauge, Gauge], reported: list[int]) -> None:
     """Finalizer: subtract a dead arena's contribution from the process gauges."""
     users, nbytes = reported
     if users:
-        obs.gauge("state.arena.users", owner=owner).add(-users)
+        gauges[0].add(-users)
     if nbytes:
-        obs.gauge("state.arena.bytes", owner=owner).add(-nbytes)
+        gauges[1].add(-nbytes)
 
 
 class UserArena:
-    """Arena-style columnar store of per-user sketch state."""
+    """Arena-style columnar store of per-user sketch state.
+
+    With a hash ``family`` (CSE/vHLL) the arena also keeps each user's
+    fold and ``m`` sketch positions.  Without one (FreeBS/FreeRS) it holds
+    the estimate columns only; ``m`` and ``positions`` are then ignored.
+    """
 
     def __init__(
         self,
-        m: int,
+        m: int = 0,
         family: HashFamily | None = None,
         positions: str = "auto",
         dense_limit: int = DENSE_POSITIONS_LIMIT,
@@ -88,12 +101,12 @@ class UserArena:
     ) -> None:
         if positions not in ("dense", "fold", "auto"):
             raise ValueError("positions must be 'dense', 'fold' or 'auto'")
-        if m <= 0:
+        if family is not None and m <= 0:
             raise ValueError("m must be positive")
-        if family is None:
-            raise ValueError("an arena needs the estimator's hash family")
-        self._interner = UserInterner(track_folds=True, initial_capacity=initial_capacity)
-        self._m = int(m)
+        self._interner = UserInterner(
+            track_folds=family is not None, initial_capacity=initial_capacity
+        )
+        self._m = int(m) if family is not None else 0
         self._family = family
         self._owner = owner
         capacity = max(1, initial_capacity)
@@ -104,52 +117,76 @@ class UserArena:
         self._dense_limit: int | None = (
             int(dense_limit) if positions == "auto" else None
         )
-        if positions == "fold":
+        if family is None or positions == "fold":
             self._positions: np.ndarray | None = None
             self._positions_ok: np.ndarray | None = None
         else:
             self._positions = np.zeros((capacity, self._m), dtype=np.int64)
             self._positions_ok = np.zeros(capacity, dtype=np.bool_)
         self._growth_events = 0
-        self.estimates = EstimatesView(self)
-        self.positions_cache = PositionsView(self)
+        self._attach_gauges()
+
+    def _attach_gauges(self) -> None:
+        """Resolve the occupancy gauges and arm the finalizer that retires them.
+
+        Runs once per arena: at construction, and again on the copy a
+        pickle round-trip or deepcopy makes, so interning never looks an
+        instrument up by name.
+        """
+        self._gauges = (
+            obs.gauge("state.arena.users", owner=self._owner),
+            obs.gauge("state.arena.bytes", owner=self._owner),
+        )
         #: [users, bytes] reported to the process gauges so far; mutated in
         #: place so the GC finalizer sees the final figures.
         self._reported = [0, 0]
-        self._finalizer = weakref.finalize(self, _retire_gauges, owner, self._reported)
+        self._finalizer = weakref.finalize(
+            self, _retire_gauges, self._gauges, self._reported
+        )
 
-    # -- pickling (weakref finalizers are not picklable) -------------------------
+    # -- pickling (weakref finalizers and instruments are not picklable) ----------
+
+    _UNCOPIED = ("_finalizer", "_gauges", "_reported")
 
     def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_finalizer"]
-        state["_reported"] = [0, 0]  # gauge deltas belong to the source process
-        return state
+        # Gauge deltas belong to the source process.
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in self._UNCOPIED
+        }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._finalizer = weakref.finalize(
-            self, _retire_gauges, self._owner, self._reported
-        )
+        self._attach_gauges()
 
     def __deepcopy__(self, memo: dict[int, Any]) -> UserArena:
-        import copy
-
         clone = object.__new__(UserArena)
         memo[id(self)] = clone
-        state: dict[str, Any] = {
-            key: copy.deepcopy(value, memo)
-            for key, value in self.__dict__.items()
-            if key != "_finalizer"
-        }
-        state["_reported"] = [0, 0]
-        clone.__dict__.update(state)
-        clone.estimates._arena = clone
-        clone.positions_cache._arena = clone
-        clone._finalizer = weakref.finalize(
-            clone, _retire_gauges, clone._owner, clone._reported
+        clone.__dict__.update(
+            {
+                key: copy.deepcopy(value, memo)
+                for key, value in self.__dict__.items()
+                if key not in self._UNCOPIED
+            }
         )
+        clone._attach_gauges()
         return clone
+
+    # -- dict-shaped views ---------------------------------------------------------
+    # Built per access rather than stored: a stored view would form a
+    # reference cycle, and a dead arena would then wait for the cyclic
+    # collector instead of being freed when its estimator is.
+
+    @property
+    def estimates(self) -> EstimatesView:
+        """Live ``{user: estimate}`` view over the estimate column."""
+        return EstimatesView(self)
+
+    @property
+    def positions_cache(self) -> PositionsView:
+        """Live view of the materialised position rows."""
+        return PositionsView(self)
 
     # -- sizing -------------------------------------------------------------------
 
@@ -163,7 +200,9 @@ class UserArena:
 
     @property
     def positions_mode(self) -> str:
-        """The live positions representation: ``dense`` or ``fold``."""
+        """The live positions representation: ``dense``, ``fold`` or ``none``."""
+        if self._family is None:
+            return "none"
         return "dense" if self._positions is not None else "fold"
 
     @property
@@ -173,6 +212,10 @@ class UserArena:
     def users(self) -> list[object]:
         """All tracked users in intern (first-seen) order."""
         return self._interner.users()
+
+    def users_since(self, start: int) -> list[object]:
+        """The users interned from code ``start`` on, in intern order."""
+        return self._interner.keys[start:]
 
     def _ensure_capacity(self, code: int) -> None:
         capacity = self._estimate.size
@@ -218,9 +261,7 @@ class UserArena:
             self._report_users(1)
         return code
 
-    def intern_many(
-        self, users: Sequence[object], folds: np.ndarray | None = None
-    ) -> np.ndarray:
+    def intern_many(self, users: Keys, folds: np.ndarray | None = None) -> np.ndarray:
         before = len(self._interner)
         codes = self._interner.intern_many(users, folds)
         added = len(self._interner) - before
@@ -259,7 +300,7 @@ class UserArena:
     def lookup(self, user: object) -> int:
         return self._interner.lookup(user)
 
-    def lookup_many(self, users: Sequence[object]) -> np.ndarray:
+    def lookup_many(self, users: Keys) -> np.ndarray:
         return self._interner.lookup_many(users)
 
     def contains(self, user: object) -> bool:
@@ -366,6 +407,98 @@ class UserArena:
         self._has_estimate[codes] = True
         self._estimate_count = len(users)
 
+    def publish(self, codes: np.ndarray) -> None:
+        """``view.setdefault(user, 0.0)`` for a batch of (unique) codes."""
+        fresh = codes[~self._has_estimate[codes]]
+        if fresh.size:
+            self._estimate[fresh] = 0.0
+            self._has_estimate[fresh] = True
+            self._estimate_count += int(fresh.size)
+
+    def add_estimate(self, user: object, increment: float) -> float:
+        """``view[user] = view.get(user, 0.0) + increment``; returns the sum."""
+        code = self.intern(user)
+        base = float(self._estimate[code]) if self._has_estimate[code] else 0.0
+        value = base + increment
+        self.set_estimate(code, value)
+        return value
+
+    def accumulate(self, codes: np.ndarray, increments: np.ndarray) -> None:
+        """Add ``increments[i]`` to the estimate of ``codes[i]``, in array order.
+
+        ``np.add.at`` is unbuffered: a repeated code takes its additions one
+        at a time in array order — the left fold a per-event loop computes
+        (``bincount`` or ``reduceat`` would re-associate the sums).  Every
+        code must already be published.
+        """
+        np.add.at(self._estimate, codes, increments)
+
+    def add_estimates_from(self, source: UserArena) -> None:
+        """``view[u] = view.get(u, 0.0) + source[u]`` per published user of ``source``.
+
+        In ``source``'s intern order, so new users are appended in that
+        order: the additive merge of two estimate columns.  A pure-int
+        ``source`` hands over its keys as an ``int64`` column.
+        """
+        n = source.n_users
+        if (
+            self.n_users == 0
+            and source._estimate_count == n
+            and not (self._interner._track_folds or source._interner._track_folds)
+        ):
+            # An empty arena takes a copy of the source's users wholesale.
+            self._interner = copy.deepcopy(source._interner)
+            self._ensure_capacity(n - 1)
+            self._estimate[:n] = source._estimate[:n]
+            self._has_estimate[:n] = True
+            self._estimate_count = n
+            self._report_users(n)
+            return
+        keys = source._interner.key_array()
+        users: Keys = source._interner.keys[:n] if keys is None else keys
+        values = source._estimate[:n]
+        if source._estimate_count != n:
+            has = source._has_estimate[:n]
+            users = keys[has] if keys is not None else list(compress(users, has.tolist()))
+            values = values[has]
+        codes = self.intern_many(users)
+        self.publish(codes)
+        self._estimate[codes] += values
+
+    def estimate_columns(self) -> tuple[list[object], np.ndarray]:
+        """Published users in intern order, with a copy of their estimates.
+
+        The direct column read behind ``estimates()`` and checkpoints: one
+        list slice and one column slice, no per-user view lookups.
+        """
+        n = self.n_users
+        keys = self._interner._keys
+        if self._estimate_count == n:
+            return keys[:n], self._estimate[:n].copy()
+        has = self._has_estimate[:n]
+        return list(compress(keys, has.tolist())), self._estimate[:n][has]
+
+    def estimate_slice(self, stop: int) -> np.ndarray:
+        """The estimate column over codes ``[0, stop)`` (a view; do not write)."""
+        return self._estimate[:stop]
+
+    def estimates_dict(self) -> dict[object, float]:
+        """``dict(view)``, built from :meth:`estimate_columns`."""
+        users, values = self.estimate_columns()
+        return dict(zip(users, values.tolist()))
+
+    def estimate_column(self, users: Keys) -> np.ndarray:
+        """float64 estimates of ``users`` in input order, 0.0 where unpublished.
+
+        ``users`` may be an ``int64`` array (see
+        :func:`~repro.state.interner.int_probes`), which a pure-int arena
+        resolves through its integer probe index.
+        """
+        codes = self.lookup_many(users)
+        hit = codes >= 0
+        safe = np.where(hit, codes, 0)
+        return np.where(hit & self._has_estimate[safe], self._estimate[safe], 0.0)
+
     # -- accounting ----------------------------------------------------------------
 
     def _column_bytes(self) -> int:
@@ -394,21 +527,20 @@ class UserArena:
         }
 
     def _report_users(self, added: int) -> None:
+        users_gauge, bytes_gauge = self._gauges
         self._reported[0] += added
-        obs.gauge("state.arena.users", owner=self._owner).add(added)
+        users_gauge.add(added)
         # Keep the bytes gauge roughly current between growths: the interner
         # side grows per key, the columns only at doubling events.
         self._reported[1] += added * _APPROX_KEY_OVERHEAD
-        obs.gauge("state.arena.bytes", owner=self._owner).add(
-            added * _APPROX_KEY_OVERHEAD
-        )
+        bytes_gauge.add(added * _APPROX_KEY_OVERHEAD)
 
     def _report_bytes(self) -> None:
         current = self._column_bytes() + self.n_users * _APPROX_KEY_OVERHEAD
         delta = current - self._reported[1]
         if delta:
             self._reported[1] = current
-            obs.gauge("state.arena.bytes", owner=self._owner).add(delta)
+            self._gauges[1].add(delta)
 
 
 class EstimatesView(MutableMapping):
@@ -492,14 +624,7 @@ class EstimatesView(MutableMapping):
 
     def gather_default_zero(self, users: Sequence[object]) -> list[float]:
         """``[view.get(user, 0.0) for user in users]`` as one column gather."""
-        arena = self._arena
-        codes = arena.lookup_many(users)
-        hit = codes >= 0
-        safe = np.where(hit, codes, 0)
-        values = np.where(
-            hit & arena._has_estimate[safe], arena._estimate[safe], 0.0
-        )
-        return values.tolist()
+        return self._arena.estimate_column(users).tolist()
 
 
 class PositionsView:

@@ -18,23 +18,160 @@ user's sketch positions stay recomputable without the key object in hand —
 ``HashFamily.positions_from_hashes(fold)`` is bit-identical to
 ``HashFamily.positions(key)`` by the hashing layer's contract.
 
-Pure-int key populations additionally get a sorted lookup index
-(``np.searchsorted``) built lazily and invalidated on intern, which turns a
-batch membership probe into one vectorised binary search instead of one dict
-hop per user.
+Pure-int key populations also get an integer probe index
+(:class:`IntIndex`): a dense ``key - lo -> code`` table when the ids are
+dense enough, sorted ``np.searchsorted`` arrays otherwise.  It turns a
+batch membership probe into one vectorised gather instead of one dict hop
+per user.  The index persists: the writer extends it by the keys interned
+since its last extension and publishes each extension as a new tuple, so
+a reader holding a frozen prefix of the codes can probe it concurrently.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
+from itertools import compress, repeat
+from operator import is_
+from typing import NamedTuple, cast
 
 import numpy as np
 
-from repro.hashing import fold_key
+from repro.hashing import fold_key, fold_key_array
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+#: A batch of keys: any sequence, or an integer array standing for its ints.
+Keys = Sequence[object] | np.ndarray
+
+#: Batches up to this size skip the vectorised paths (dict probes win).
+_VECTOR_MIN = 4
+
+#: Smallest key span a dense probe table may always cover; above it the
+#: span must stay within 4x the key count, or the index keeps sorted arrays.
+_DENSE_FLOOR = 1 << 16
+
+
+def int_probes(keys: Keys) -> np.ndarray | None:
+    """A probe batch as a lossless 1-D ``int64`` array, or None.
+
+    None for anything the integer index cannot answer exactly: strings,
+    floats, tuples (a list of equal-length tuples coerces to a 2-D array)
+    and unsigned ids beyond ``int64``.
+    """
+    try:
+        arr = keys if isinstance(keys, np.ndarray) else np.asarray(keys)
+    except (ValueError, TypeError):  # ragged / inhomogeneous probe lists
+        return None
+    if arr.ndim != 1:
+        return None
+    kind = arr.dtype.kind
+    if kind == "i":
+        return arr.astype(np.int64, copy=False)
+    if kind == "u":
+        if arr.size and int(arr.max()) > _INT64_MAX:
+            return None
+        return arr.astype(np.int64)
+    return None
+
+
+class IntIndex(NamedTuple):
+    """The integer probe index over the first ``size`` codes, as published.
+
+    Dense form: ``table[key - base]`` is the key's code, ``-1`` for gaps.
+    Sparse form (``table is None``): ``keys`` sorted, ``codes`` aligned.
+    ``lo``/``hi`` are the smallest and largest indexed keys.
+    """
+
+    size: int
+    lo: int
+    hi: int
+    base: int
+    table: np.ndarray | None
+    keys: np.ndarray | None
+    codes: np.ndarray | None
+
+    def probe(self, probes: np.ndarray, limit: int) -> np.ndarray:
+        """Codes of ``probes``; -1 for keys not indexed or coded at/above ``limit``.
+
+        ``limit`` is the caller's frozen length.  A dense table may hold
+        codes the writer filled in after this tuple was published — even
+        above ``size`` — so the limit is applied to every probe.
+        """
+        if self.table is not None:
+            table = self.table
+            shifted = probes - self.base
+            if shifted.size and 0 <= int(shifted.min()) and int(shifted.max()) < table.size:
+                codes = table[shifted]
+            else:
+                inside = (shifted >= 0) & (shifted < table.size)
+                codes = np.where(inside, table[np.where(inside, shifted, 0)], -1)
+        else:
+            keys = self.keys
+            assert keys is not None and self.codes is not None
+            pos = np.minimum(np.searchsorted(keys, probes), keys.size - 1)
+            codes = np.where(keys[pos] == probes, self.codes[pos], -1)
+        return np.where(codes < limit, codes, -1)
+
+
+def _extend_index(
+    index: IntIndex | None, fresh: np.ndarray, start: int
+) -> IntIndex:
+    """``index`` plus the keys ``fresh`` (codes ``start`` on), as a new tuple.
+
+    A dense table that already spans the new keys is filled in place; its
+    new slots are ``-1`` until then, and a reader treats codes at or above
+    its frozen length as misses either way.  Anything else builds new
+    arrays, so a reader holding the old tuple keeps a consistent index.
+    """
+    size = start + fresh.size
+    codes = np.arange(start, size, dtype=np.int64)
+    lo, hi = int(fresh.min()), int(fresh.max())
+    if index is not None:
+        lo, hi = min(lo, index.lo), max(hi, index.hi)
+    span = hi - lo + 1
+    bound = max(4 * size, _DENSE_FLOOR)
+    if span <= bound:
+        table = None if index is None else index.table
+        if table is not None and index is not None:
+            base = index.base
+            if base <= lo and hi < base + table.size:
+                table[fresh - base] = codes
+                return IntIndex(size, lo, hi, base, table, None, None)
+        # Room to grow upward, so ids arriving in increasing order rebuild
+        # the table O(log n) times rather than per extension.
+        width = max(span, min(2 * span, bound))
+        grown = np.full(width, -1, dtype=np.int64)
+        if index is not None:
+            old_keys, old_codes = _index_items(index)
+            grown[old_keys - lo] = old_codes
+        grown[fresh - lo] = codes
+        return IntIndex(size, lo, hi, lo, grown, None, None)
+    if index is None:
+        order = np.argsort(fresh, kind="stable")
+        return IntIndex(size, lo, hi, lo, None, fresh[order], codes[order])
+    old_keys, old_codes = _index_items(index)
+    order = np.argsort(fresh, kind="stable")
+    at = np.searchsorted(old_keys, fresh[order])
+    return IntIndex(
+        size,
+        lo,
+        hi,
+        lo,
+        None,
+        np.insert(old_keys, at, fresh[order]),
+        np.insert(old_codes, at, codes[order]),
+    )
+
+
+def _index_items(index: IntIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, codes) of every indexed key, from either form."""
+    if index.table is None:
+        assert index.keys is not None and index.codes is not None
+        return index.keys, index.codes
+    table = index.table
+    slots = np.flatnonzero(table >= 0)
+    return slots + index.base, table[slots]
 
 
 class UserInterner:
@@ -46,9 +183,8 @@ class UserInterner:
         "_folds",
         "_track_folds",
         "_int_only",
-        "_index_keys",
-        "_index_codes",
-        "_index_size",
+        "_int_index",
+        "_key_array",
     )
 
     def __init__(self, track_folds: bool = True, initial_capacity: int = 64) -> None:
@@ -59,11 +195,30 @@ class UserInterner:
             np.zeros(max(1, initial_capacity), dtype=np.uint64) if track_folds else None
         )
         #: True while every interned key is a plain int64-range int (the only
-        #: population the sorted lookup index can represent losslessly).
+        #: population the integer probe index can represent losslessly).
         self._int_only = True
-        self._index_keys: np.ndarray | None = None
-        self._index_codes: np.ndarray | None = None
-        self._index_size = 0
+        #: The published probe index (None until the first extension).
+        self._int_index: IntIndex | None = None
+        #: Read-only cache of :meth:`key_array` (valid while its size matches).
+        self._key_array: np.ndarray | None = None
+
+    def __deepcopy__(self, memo: dict[int, object]) -> UserInterner:
+        # Keys are hashable, so the copy shares them, as a dict copy would;
+        # a per-key deepcopy would dominate the cost.  The arrays are
+        # copied, except the index's sorted arrays, which no one writes.
+        clone = UserInterner.__new__(UserInterner)
+        memo[id(self)] = clone
+        clone._codes = self._codes.copy()
+        clone._keys = self._keys.copy()
+        clone._folds = None if self._folds is None else self._folds.copy()
+        clone._track_folds = self._track_folds
+        clone._int_only = self._int_only
+        index = self._int_index
+        if index is not None and index.table is not None:
+            index = index._replace(table=index.table.copy())
+        clone._int_index = index
+        clone._key_array = self._key_array
+        return clone
 
     # -- size / enumeration ----------------------------------------------------
 
@@ -87,6 +242,18 @@ class UserInterner:
 
     # -- interning --------------------------------------------------------------
 
+    def _grow_folds(self, size: int) -> np.ndarray:
+        folds = self._folds
+        assert folds is not None
+        if size > folds.size:
+            capacity = folds.size
+            while capacity < size:
+                capacity *= 2
+            grown = np.zeros(capacity, dtype=np.uint64)
+            grown[: folds.size] = folds
+            self._folds = folds = grown
+        return folds
+
     def intern(self, key: object, fold: int | None = None) -> int:
         """Return the code of ``key``, assigning the next dense code if new."""
         code = self._codes.get(key)
@@ -96,12 +263,7 @@ class UserInterner:
         self._codes[key] = code
         self._keys.append(key)
         if self._track_folds:
-            folds = self._folds
-            assert folds is not None
-            if code >= folds.size:
-                grown = np.zeros(folds.size * 2, dtype=np.uint64)
-                grown[: folds.size] = folds
-                self._folds = folds = grown
+            folds = self._grow_folds(code + 1)
             folds[code] = fold if fold is not None else fold_key(key)
         if self._int_only and not (
             type(key) is int and _INT64_MIN <= key <= _INT64_MAX
@@ -109,30 +271,104 @@ class UserInterner:
             self._int_only = False
         return code
 
-    def intern_many(
-        self, keys: Sequence[object], folds: np.ndarray | None = None
-    ) -> np.ndarray:
+    def intern_many(self, keys: Keys, folds: np.ndarray | None = None) -> np.ndarray:
         """Intern a batch of keys; returns their codes as an ``int64`` array.
 
         ``folds`` — when the caller already holds the keys' 64-bit folds
         (:attr:`EncodedBatch.user_hashes` is exactly that, aligned with
         ``batch.users``) — skips recomputing ``fold_key`` per new key.
 
-        Known keys resolve in one C-level ``map`` over the dict; only the
-        misses take the Python-level :meth:`intern`, left to right, so new
-        codes follow first appearance exactly as before.
+        Either way the misses are interned in bulk, deduplicated in
+        first-appearance order under the dict's own key equality, so new
+        codes follow first appearance exactly as one :meth:`intern` call per
+        key would assign them.  A pure-int population probed with integers
+        finds its known keys through the integer probe index (so this is a
+        writer-side call); anything else takes one C-level ``map`` over the
+        dict.
         """
-        codes = list(map(self._codes.get, keys))
+        if self._int_only and len(keys) > _VECTOR_MIN:
+            probes = int_probes(keys)
+            if probes is not None:
+                return self._intern_probes(keys, probes, folds)
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        get = self._codes.get
+        codes = list(map(get, keys))
         if None in codes:
-            position = codes.index(None)
-            while True:
-                fold = None if folds is None else int(folds[position])
-                codes[position] = self.intern(keys[position], fold)
-                try:
-                    position = codes.index(None, position + 1)
-                except ValueError:
-                    break
+            misses = list(compress(range(len(codes)), map(is_, codes, repeat(None))))
+            missed = [keys[position] for position in misses]
+            fresh = list(dict.fromkeys(missed))
+            if folds is not None and len(fresh) != len(missed):
+                # A key missed twice keeps the fold of its first position.
+                first = dict(zip(reversed(missed), reversed(misses)))
+                misses = [first[key] for key in fresh]
+            self._append(fresh, None if folds is None else folds[misses])
+            codes = list(map(get, keys))
         return np.fromiter(codes, dtype=np.int64, count=len(codes))
+
+    def _intern_probes(
+        self, keys: Keys, probes: np.ndarray, folds: np.ndarray | None
+    ) -> np.ndarray:
+        """:meth:`intern_many` for keys that coerce to the ``int64`` ``probes``."""
+        index = self.int_index()
+        if index is None:
+            codes = np.full(probes.size, -1, dtype=np.int64)
+        else:
+            codes = index.probe(probes, index.size)
+        missing = np.flatnonzero(codes < 0)
+        if missing.size == 0:
+            return codes
+        missed = probes[missing]
+        missed_ints = missed.tolist()
+        if len(set(missed_ints)) == len(missed_ints):  # no key missed twice
+            positions = missing
+        else:
+            _, first = np.unique(missed, return_index=True)
+            positions = missing[np.sort(first)]
+            missed_ints = probes[positions].tolist()
+        if isinstance(keys, np.ndarray):
+            fresh: list[object] = missed_ints
+            int_only = True
+        else:
+            # The caller's own key objects: a bool stays a bool.  The probes
+            # are int64 already, so only the key types can disqualify.
+            fresh = [keys[position] for position in positions.tolist()]
+            int_only = set(map(type, fresh)) == {int}
+        fresh_probes = probes[positions]
+        if folds is not None:
+            fresh_folds = folds[positions]
+        elif self._track_folds:
+            fresh_folds = fold_key_array(fresh_probes)
+        else:
+            fresh_folds = None
+        start = len(self._keys)
+        self._append(fresh, fresh_folds, int_only)
+        if not self._int_only:  # e.g. a bool key: dict probes from here on
+            if isinstance(keys, np.ndarray):
+                keys = keys.tolist()
+            return np.fromiter(map(self._codes.get, keys), dtype=np.int64, count=len(keys))
+        self._int_index = index = _extend_index(self._int_index, fresh_probes, start)
+        codes[missing] = index.probe(missed, index.size)
+        return codes
+
+    def _append(
+        self, fresh: list[object], folds: np.ndarray | None, int_only: bool | None = None
+    ) -> None:
+        """Give the new, distinct keys ``fresh`` the next codes, in order.
+
+        ``int_only`` is whether every fresh key is a plain int64-range int,
+        when the caller already knows; otherwise it is checked here.
+        """
+        start = len(self._keys)
+        self._codes.update(zip(fresh, range(start, start + len(fresh))))
+        self._keys.extend(fresh)
+        if self._track_folds:
+            column = self._grow_folds(start + len(fresh))
+            if folds is None:
+                folds = np.fromiter(map(fold_key, fresh), dtype=np.uint64, count=len(fresh))
+            column[start : start + len(fresh)] = folds
+        if self._int_only and not (_all_int64(fresh) if int_only is None else int_only):
+            self._int_only = False
 
     # -- lookup ------------------------------------------------------------------
 
@@ -141,22 +377,22 @@ class UserInterner:
         code = self._codes.get(key)
         return -1 if code is None else code
 
-    def lookup_many(self, keys: Sequence[object]) -> np.ndarray:
+    def lookup_many(self, keys: Keys) -> np.ndarray:
         """Codes of a batch of keys (-1 for unknown), vectorised when possible.
 
-        A pure-int interned population probed with an integer array resolves
-        through one sorted binary search; everything else falls back to one
-        dict probe per key — both produce identical codes.
+        A pure-int interned population probed with integers resolves through
+        the integer probe index (extended first, so this is a writer-side
+        call); everything else falls back to one dict probe per key — both
+        produce identical codes.
         """
-        if self._int_only and len(self._keys) > 0 and len(keys) > 4:
-            arr = self._as_int64(keys)
-            if arr is not None:
-                index_keys, index_codes = self._int_index()
-                if index_keys is not None and index_codes is not None:
-                    pos = np.searchsorted(index_keys, arr)
-                    pos_clipped = np.minimum(pos, index_keys.size - 1)
-                    found = index_keys[pos_clipped] == arr
-                    return np.where(found, index_codes[pos_clipped], -1)
+        if self._int_only and len(keys) > _VECTOR_MIN:
+            probes = int_probes(keys)
+            if probes is not None:
+                index = self.int_index()
+                if index is not None:
+                    return index.probe(probes, index.size)
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
         get = self._codes.get
         return np.array([get(key, -1) for key in keys], dtype=np.int64)
 
@@ -165,37 +401,51 @@ class UserInterner:
         assert self._folds is not None, "interner built with track_folds=False"
         return self._folds[codes]
 
-    # -- int fast-path plumbing ---------------------------------------------------
+    # -- integer probe index -------------------------------------------------------
 
-    @staticmethod
-    def _as_int64(keys: Sequence[object]) -> np.ndarray | None:
-        """Coerce a probe batch to int64 losslessly, or return None."""
-        arr = keys if isinstance(keys, np.ndarray) else np.asarray(keys)
-        kind = arr.dtype.kind
-        if kind == "i":
-            return arr.astype(np.int64, copy=False)
-        if kind == "u":
-            if arr.size and int(arr.max()) > _INT64_MAX:
-                return None
-            return arr.astype(np.int64)
-        return None
+    def int_index(self) -> IntIndex | None:
+        """Extend the probe index to every interned key and publish it.
 
-    def _int_index(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The (sorted keys, codes) probe index, rebuilt lazily after interns."""
-        if self._index_size != len(self._keys):
-            try:
-                keys_arr = np.fromiter(
-                    self._keys, dtype=np.int64, count=len(self._keys)
-                )
-            except (TypeError, ValueError, OverflowError):
-                self._int_only = False
-                self._index_keys = self._index_codes = None
-                return None, None
-            order = np.argsort(keys_arr)
-            self._index_keys = keys_arr[order]
-            self._index_codes = order.astype(np.int64)
-            self._index_size = len(self._keys)
-        return self._index_keys, self._index_codes
+        Writer-side only (the thread that interns; in the service, under the
+        ingest lock): each call adds the keys interned since the previous
+        one, so a dense table costs O(new keys) per call.  None while any
+        key is not a plain int64-range int, or before the first intern.
+        """
+        if not self._int_only:
+            self._int_index = None
+            return None
+        index = self._int_index
+        size = len(self._keys)
+        if size == 0 or (index is not None and index.size == size):
+            return index
+        start = 0 if index is None else index.size
+        fresh = np.array(self._keys[start:size], dtype=np.int64)
+        index = self._int_index = _extend_index(index, fresh, start)
+        return index
+
+    def key_array(self) -> np.ndarray | None:
+        """All keys as ``int64`` in code order (writer side), or None.
+
+        Read off the probe index in O(key span) and cached read-only, so a
+        pure-int population — a closed epoch at every rotation, say — hands
+        its keys to vectorised callers without a per-key conversion.
+        """
+        index = self.int_index()
+        if index is None:
+            return None
+        cached = self._key_array
+        if cached is not None and cached.size == index.size:
+            return cached
+        keys, codes = _index_items(index)
+        ordered = np.empty(index.size, dtype=np.int64)
+        ordered[codes] = keys
+        ordered.flags.writeable = False
+        self._key_array = ordered
+        return ordered
+
+    def published_int_index(self) -> IntIndex | None:
+        """The last published probe index, without extending it (reader side)."""
+        return self._int_index if self._int_only else None
 
     # -- accounting ---------------------------------------------------------------
 
@@ -207,6 +457,21 @@ class UserInterner:
         total += sum(sys.getsizeof(key) for key in self._keys)
         if self._folds is not None:
             total += self._folds.nbytes
-        if self._index_keys is not None and self._index_codes is not None:
-            total += self._index_keys.nbytes + self._index_codes.nbytes
+        index = self._int_index
+        if index is not None:
+            total += sum(
+                array.nbytes
+                for array in (index.table, index.keys, index.codes)
+                if array is not None
+            )
         return total
+
+
+def _all_int64(keys: list[object]) -> bool:
+    """True if every key is a plain ``int`` (not bool) in the int64 range."""
+    if not keys:
+        return True
+    if set(map(type, keys)) != {int}:
+        return False
+    ints = cast("list[int]", keys)
+    return _INT64_MIN <= min(ints) and max(ints) <= _INT64_MAX

@@ -11,26 +11,32 @@ backed by numpy columns so ranking, thresholds and totals are vectorised:
   rank reproduces dict insertion order exactly, because every insert *and*
   every re-insert takes a fresh rank.
 
+Writes come one key at a time (:meth:`ScoreTable.put`), as a batch of
+columns with the ``put`` loop's semantics (:meth:`ScoreTable.put_many`,
+the incremental top-k path), or as a whole new table
+(:meth:`ScoreTable.replace`, the full refresh).
+
 :meth:`checkout` returns a :class:`FrozenScores` — the read-only snapshot
 ``SpreaderMonitor.last_window_estimates`` hands to readers.  Checkout is
-O(1): the frozen view borrows the live columns, and the table copies them
-for itself before its next mutation (copy-on-write with ownership handoff —
-the frozen view keeps the originals, which are never written again, so
-concurrent readers can gather from a snapshot while ingest keeps mutating
-the table).  Before this existed every ``last_window_estimates()`` call
-boxed the whole table into a fresh dict.
+O(1) in the table size: the frozen view borrows the live columns, and the
+table copies them for itself before its next mutation (copy-on-write with
+ownership handoff — the frozen view keeps the originals, which are never
+written again, so concurrent readers can gather from a snapshot while
+ingest keeps mutating the table).  Checkout also extends the interner's
+integer probe index by the keys interned since the previous one, so the
+frozen view's ``gather_exact`` probes an index that persists across
+checkouts instead of building its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, MutableMapping, Sequence
-from typing import Any, Literal
+from typing import Any
 
 import numpy as np
 
-from repro.state.interner import UserInterner
-
-_INT64_MAX = (1 << 63) - 1
+from repro.engine.base import hot_path
+from repro.state.interner import UserInterner, int_probes
 
 
 class ScoreTable(MutableMapping):
@@ -68,7 +74,13 @@ class ScoreTable(MutableMapping):
             self._loaned = False
 
     def checkout(self) -> FrozenScores:
-        """An immutable snapshot of the current scores (O(1); see module doc)."""
+        """An immutable snapshot of the current scores (see module doc).
+
+        O(1) in the table size: the columns are loaned, and the interner's
+        integer probe index is extended by the keys interned since the last
+        checkout — here, on the writer's side, so readers never build it.
+        """
+        self._interner.int_index()
         self._loaned = True
         return FrozenScores(
             self._interner,
@@ -157,6 +169,45 @@ class ScoreTable(MutableMapping):
         self._order_cache = None
         self._order_is_identity = False
         return None
+
+    @hot_path
+    def put_many(
+        self, keys: Sequence[object], values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`put` for each ``keys[i] -> values[i]`` in order (keys unique).
+
+        Returns ``(codes, previous)``: the keys' codes and their previous
+        scores, NaN where a key was absent.  As with the ``put`` loop, new
+        and re-inserted keys take fresh ranks in ``keys`` order (a
+        re-inserted key moves to the end), and present keys keep theirs.
+        """
+        codes = self._interner.intern_many(keys)
+        self._ensure_capacity(len(self._interner) - 1)
+        self._prepare_write()
+        present = self._present[codes]
+        previous = np.where(present, self._values[codes], np.nan)
+        self._values[codes] = values
+        inserted = codes[~present]
+        if inserted.size:
+            # While rank order is code order every code is present, so each
+            # inserted key is new and takes the next code: the order stays
+            # the identity.
+            self._present[inserted] = True
+            self._rank[inserted] = np.arange(
+                self._next_rank, self._next_rank + inserted.size, dtype=np.int64
+            )
+            self._next_rank += int(inserted.size)
+            self._count += int(inserted.size)
+            self._order_cache = None
+        return codes, previous
+
+    def ranks_at(self, codes: np.ndarray) -> np.ndarray:
+        """The insertion ranks of ``codes`` (one column gather)."""
+        return self._rank[codes]
+
+    def values_at(self, codes: np.ndarray) -> np.ndarray:
+        """The scores of ``codes`` (one column gather)."""
+        return self._values[codes]
 
     def __delitem__(self, user: object) -> None:
         code = self._interner._codes.get(user)
@@ -308,8 +359,6 @@ class FrozenScores(Mapping):
         "_rank",
         "_count",
         "_order",
-        "_int_index",
-        "_int_lut",
     )
 
     def __init__(
@@ -328,10 +377,6 @@ class FrozenScores(Mapping):
         self._rank = rank
         self._count = count
         self._order: np.ndarray | None = None
-        #: False = not built; None = unbuildable (non-int keys).
-        self._int_index: tuple[np.ndarray, np.ndarray] | None | Literal[False] = False
-        #: False = not built; None = key range too sparse for a direct table.
-        self._int_lut: tuple[int, np.ndarray] | None | Literal[False] = False
 
     def __len__(self) -> int:
         return self._count
@@ -388,48 +433,17 @@ class FrozenScores(Mapping):
 
         The ``batch_spread`` hot path: mirrors the semantics of the old
         ``operator.itemgetter`` fast path exactly — a single miss makes the
-        caller fall back to the per-user normalising lookup.
+        caller fall back to the per-user normalising lookup.  Integer probes
+        resolve through the interner's published probe index, which the
+        writer extended at checkout; codes at or above the frozen length
+        were interned later and count as misses.
         """
-        try:
-            arr = np.asarray(users) if not isinstance(users, np.ndarray) else users
-        except (ValueError, TypeError):  # ragged / inhomogeneous probe lists
+        probes = int_probes(users)
+        index = self._interner.published_int_index()
+        if probes is None or index is None:
             return self._gather_via_dict(users)
-        if arr.ndim != 1:  # e.g. a list of equal-length tuples
-            return self._gather_via_dict(users)
-        kind = arr.dtype.kind
-        if kind == "u":
-            if arr.size and int(arr.max()) > _INT64_MAX:
-                return self._gather_via_dict(users)
-            arr = arr.astype(np.int64)
-            kind = "i"
-        if kind != "i":
-            return self._gather_via_dict(users)
-        index = self._build_int_index()
-        if index is None:
-            return self._gather_via_dict(users)
-        sorted_keys, sorted_codes = index
-        if sorted_keys.size == 0:
-            return None
-        lut_entry = self._build_int_lut(sorted_keys, sorted_codes)
-        if lut_entry is not None:
-            # Dense key range (the service's integer-id hot case): one fancy
-            # index replaces a per-element binary search over unsorted probes.
-            lo, table = lut_entry
-            shifted = arr - lo
-            if shifted.size and (
-                int(shifted.min()) < 0 or int(shifted.max()) >= table.size
-            ):
-                return None  # some probe is outside the frozen key range
-            codes = table[shifted]
-            if not np.all(codes >= 0):
-                return None
-        else:
-            pos = np.searchsorted(sorted_keys, arr)
-            pos_clipped = np.minimum(pos, sorted_keys.size - 1)
-            if not np.all(sorted_keys[pos_clipped] == arr):
-                return None
-            codes = sorted_codes[pos_clipped]
-        if not np.all(self._present[codes]):
+        codes = index.probe(probes, self._n)
+        if not np.all(codes >= 0) or not np.all(self._present[codes]):
             return None
         return self._values[codes].tolist()
 
@@ -448,49 +462,6 @@ class FrozenScores(Mapping):
                 return None
             out.append(float(values[code]))
         return out
-
-    def _build_int_index(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Sorted (key, code) probe index over the frozen prefix, built once.
-
-        Only representable when every frozen key is a plain int64-range
-        integer; reading ``keys[:n]`` of the append-only key list is safe
-        against concurrent interns.
-        """
-        index = self._int_index
-        if index is False:
-            try:
-                keys_arr = np.fromiter(
-                    self._interner._keys[: self._n], dtype=np.int64, count=self._n
-                )
-            except (TypeError, ValueError, OverflowError):
-                index = self._int_index = None
-            else:
-                order = np.argsort(keys_arr)
-                index = self._int_index = (keys_arr[order], order.astype(np.int64))
-        return index
-
-    def _build_int_lut(
-        self, sorted_keys: np.ndarray, sorted_codes: np.ndarray
-    ) -> tuple[int, np.ndarray] | None:
-        """Direct ``key - lo -> code`` table over the frozen key range.
-
-        Built once per checkout, and only when the integer keys are dense
-        enough that the table stays proportional to the population (range
-        <= 4x the key count, with a 64Ki floor so small tables always
-        qualify); sparse populations keep the searchsorted path.  ``-1``
-        marks in-range gaps.
-        """
-        lut = self._int_lut
-        if lut is False:
-            lo = int(sorted_keys[0])
-            span = int(sorted_keys[-1]) - lo + 1
-            if span <= max(4 * sorted_keys.size, 1 << 16):
-                table = np.full(span, -1, dtype=np.int64)
-                table[sorted_keys - lo] = sorted_codes
-                lut = self._int_lut = (lo, table)
-            else:
-                lut = self._int_lut = None
-        return lut
 
     def total(self) -> float:
         """Sum of the frozen scores in insertion order (vector reduction)."""

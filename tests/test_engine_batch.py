@@ -58,6 +58,8 @@ class TestScalarBatchEquivalence:
         scalar = _drive_scalar(FACTORIES[method](), pairs)
         batch = _drive_batch(FACTORIES[method](), pairs, chunk)
         assert batch.estimates() == scalar.estimates()
+        # Same first-seen key order, not just the same mapping.
+        assert list(batch.estimates().items()) == list(scalar.estimates().items())
 
     def test_freebs_internal_state_matches(self):
         pairs = _random_pairs(3_000, seed=1)
@@ -180,3 +182,4 @@ class TestBatchProperties:
         scalar = _drive_scalar(FreeBS(1 << 10, seed=13), pairs)
         batch = _drive_batch(FreeBS(1 << 10, seed=13), pairs, chunk)
         assert batch.estimates() == scalar.estimates()
+        assert list(batch.estimates().items()) == list(scalar.estimates().items())

@@ -16,6 +16,8 @@ scalar loop it replaces —
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from repro.core.freers import FreeRS
 from repro.core.serialization import dumps, loads
 from repro.engine import ShardedEstimator
 from repro.monitor import MonitorSpec, TopKTracker
+from repro.monitor.snapshot import monitor_from_json, monitor_to_json
 from repro.streams import zipf_bipartite_stream
 
 _SETTINGS = settings(max_examples=20, deadline=None)
@@ -178,28 +181,58 @@ def _full_resort_top(monitor, k):
     return sorted(estimates.items(), key=lambda item: item[1], reverse=True)[:k]
 
 
+def _restored(monitor):
+    return monitor_from_json(json.loads(json.dumps(monitor_to_json(monitor))))
+
+
+_INCREMENTAL_CASES = [
+    pytest.param(method, "plain", id=method)
+    for method in ("FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++")
+] + [
+    pytest.param(method, variant, id=f"{method}-{variant}")
+    for method in ("FreeBS", "FreeRS")
+    for variant in ("2-shards", "str-keys", "restored")
+]
+
+
 class TestIncrementalTopK:
-    @pytest.mark.parametrize("method", ["FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++"])
-    def test_matches_full_resort_across_rotations(self, method):
+    @pytest.mark.parametrize("method, variant", _INCREMENTAL_CASES)
+    def test_matches_full_resort_across_rotations(self, method, variant):
         pairs = zipf_bipartite_stream(
             n_users=120, n_pairs=12_000, max_cardinality=600, duplicate_factor=0.3, seed=6
         )
+        if variant == "str-keys":
+            pairs = [(f"u{user}", item) for user, item in pairs]
         spec = MonitorSpec(
             method=method,
             memory_bits=1 << 15,
             expected_users=120,
+            shards=2 if variant == "2-shards" else 1,
             epoch_pairs=3_000,
             window_epochs=3,
             delta=5e-3,
             top_k=7,
         )
         monitor = spec.build()
+        additive = method in ("FreeBS", "FreeRS")
+        # The additive methods' incremental path must leave exactly the
+        # table a full evaluation of every batch leaves, key order included.
+        reference = spec.build() if additive else None
         for start in range(0, len(pairs), 700):
-            monitor.observe(pairs[start : start + 700])
+            if variant == "restored" and start == 4_200:
+                monitor, reference = _restored(monitor), _restored(reference)
+            batch = pairs[start : start + 700]
+            monitor.observe(batch)
             assert monitor.current_top == _full_resort_top(monitor, 7), (
                 f"{method}: top-k diverged from full re-sort at pair {start + 700}"
             )
-        if method in ("FreeBS", "FreeRS"):
+            if additive:
+                reference.window.ingest(batch)
+                reference.evaluate()
+                scored = list(monitor.last_window_estimates().items())
+                assert scored == list(reference.last_window_estimates().items())
+                assert dict(scored) == monitor.window.window_estimates()
+        if additive:
             assert monitor.incremental_evaluations > 0
 
     def test_incremental_equals_forced_full_evaluation(self):
@@ -253,6 +286,11 @@ class TestIncrementalTopK:
         assert monitor.current_top == _full_resort_top(monitor, monitor.top_k)
 
 
+def _apply(tracker: TopKTracker, changed: dict) -> None:
+    """Feed ``changed`` to the tracker as columns (users + float64 scores)."""
+    tracker.apply_updates(list(changed), np.array(list(changed.values()), dtype=np.float64))
+
+
 class TestTopKTracker:
     @_SETTINGS
     @given(
@@ -277,7 +315,7 @@ class TestTopKTracker:
             for user, bump in updates:
                 changed[user] = reference.get(user, 0.0) + bump
             reference.update(changed)
-            tracker.apply_updates(changed)
+            _apply(tracker, changed)
             expected = sorted(
                 tracker.scores.items(), key=lambda item: item[1], reverse=True
             )[:k]
@@ -288,16 +326,16 @@ class TestTopKTracker:
         tracker = TopKTracker(2)
         tracker.full_refresh({"a": 5.0, "b": 4.0, "c": 3.0})
         assert tracker.head == [("a", 5.0), ("b", 4.0)]
-        tracker.apply_updates({"a": 1.0})  # decrease: must not keep stale head
+        _apply(tracker, {"a": 1.0})  # decrease: must not keep stale head
         assert tracker.head == [("b", 4.0), ("c", 3.0)]
 
     def test_ties_keep_first_seen_order(self):
         tracker = TopKTracker(3)
         tracker.full_refresh({"x": 2.0, "y": 2.0, "z": 2.0, "w": 2.0})
         assert tracker.head == [("x", 2.0), ("y", 2.0), ("z", 2.0)]
-        tracker.apply_updates({"w": 2.0})  # equal score: rank keeps it out
+        _apply(tracker, {"w": 2.0})  # equal score: rank keeps it out
         assert tracker.head == [("x", 2.0), ("y", 2.0), ("z", 2.0)]
-        tracker.apply_updates({"w": 2.5})
+        _apply(tracker, {"w": 2.5})
         assert tracker.head == [("w", 2.5), ("x", 2.0), ("y", 2.0)]
 
 

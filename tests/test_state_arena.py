@@ -22,8 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.baselines import CSE, VirtualHLL
+from repro.core import FreeBS, FreeRS
 from repro.core.serialization import dumps, loads
 from repro.hashing import HashFamily, fold_key
+from repro.monitor.window import WindowedEstimator
 from repro.state import DENSE_POSITIONS_LIMIT, FrozenScores, ScoreTable, UserArena, UserInterner
 
 _SETTINGS = settings(max_examples=25, deadline=None)
@@ -234,6 +236,8 @@ class TestEstimatorKeyDuality:
     @pytest.mark.parametrize("factory", [
         lambda: CSE(1 << 12, virtual_size=32, seed=3),
         lambda: VirtualHLL(1 << 11, virtual_size=32, seed=3),
+        lambda: FreeBS(1 << 12, seed=3),
+        lambda: FreeRS(1 << 10, seed=3),
     ])
     def test_int_7_and_string_7_are_distinct_users(self, factory):
         estimator = factory()
@@ -250,6 +254,8 @@ class TestEstimatorKeyDuality:
     @pytest.mark.parametrize("factory", [
         lambda: CSE(1 << 12, virtual_size=32, seed=5),
         lambda: VirtualHLL(1 << 11, virtual_size=32, seed=5),
+        lambda: FreeBS(1 << 12, seed=5),
+        lambda: FreeRS(1 << 10, seed=5),
     ])
     def test_tuple_and_bytes_keys_survive_snapshot_round_trips(self, factory):
         estimator = factory()
@@ -261,7 +267,8 @@ class TestEstimatorKeyDuality:
         assert list(restored.estimates()) == list(estimator.estimates())
         for user in users:
             assert restored.estimate(user) == estimator.estimate(user)
-            assert restored.estimate_fresh(user) == estimator.estimate_fresh(user)
+            if hasattr(estimator, "estimate_fresh"):  # CSE/vHLL only
+                assert restored.estimate_fresh(user) == estimator.estimate_fresh(user)
         # A second hop must be loss-free too (restore -> dump -> restore).
         twice = loads(dumps(restored))
         assert dict(twice.estimates()) == dict(estimator.estimates())
@@ -353,6 +360,44 @@ class TestScoreTable:
         assert frozen.get(3) == 3.0
         assert frozen.get(100) is None
         assert table[3] == 99.0
+        # The integer probe index behind gather_exact persists across
+        # checkouts, and the writer extends it as it interns: a checkout
+        # taken before a key is interned misses it, even once its code is
+        # past the frozen columns, and a later checkout hits it.  Dense ids
+        # probe the lookup table (filled in place when the new key fits
+        # it); ids 10**6 apart probe sorted arrays.
+        for spacing in (1, 10**6):
+            table = ScoreTable()
+            ids = [spacing * user for user in range(8)]
+            for user in ids:
+                table.put(user, float(user))
+            before = table.checkout()
+            assert before.gather_exact(ids) == [float(user) for user in ids]
+            late = [spacing * user for user in range(100, 300)]
+            table.put_many(late, np.arange(100.0, 300.0))
+            assert before.gather_exact([100 * spacing]) is None
+            assert before.gather_exact([299 * spacing]) is None
+            after = table.checkout()
+            index = table._interner.published_int_index()
+            assert (index.table is not None) == (spacing == 1)
+            assert after.gather_exact([100 * spacing, 299 * spacing]) == [100.0, 299.0]
+            assert before.gather_exact(ids + [100 * spacing]) is None
+            table.put(350 * spacing, 8.0)
+            latest = table.checkout()
+            if spacing == 1:
+                assert table._interner.published_int_index().table is index.table
+            assert after.gather_exact([350 * spacing]) is None
+            assert latest.gather_exact([350 * spacing, 100 * spacing]) == [8.0, 100.0]
+        # Non-int keys keep the dict path.
+        table = ScoreTable()
+        table.put("a", 1.0)
+        table.put(("t", 1), 2.0)
+        frozen = table.checkout()
+        assert table._interner.published_int_index() is None
+        assert frozen.gather_exact(["a", ("t", 1)]) == [1.0, 2.0]
+        table.put("b", 3.0)
+        assert frozen.gather_exact(["b"]) is None
+        assert table.checkout().gather_exact(["b", "a"]) == [3.0, 1.0]
 
     def test_checkout_survives_concurrent_writer(self):
         table = ScoreTable()
@@ -383,6 +428,60 @@ class TestScoreTable:
             thread.join()
         assert not errors
 
+    @pytest.mark.parametrize("spacing", [1, 10**6], ids=["dense-table", "sorted-arrays"])
+    def test_probe_index_grows_under_concurrent_readers(self, spacing):
+        """Readers probe published checkouts while the writer keeps interning.
+
+        The writer's put_many extends the shared probe index (in-place
+        fills, regrown tables, re-merged sorted arrays) and publishes a
+        checkout after each call; every checkout a reader holds must keep
+        answering with exactly the keys and scores it froze.
+        """
+        import sys
+
+        table = ScoreTable()
+        first = [spacing * key for key in range(0, 256, 2)]
+        table.put_many(first, np.array(first, dtype=np.float64))
+        published = [(table.checkout(), first)]
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    frozen, keys = published[-1]
+                    assert frozen.gather_exact(keys) == [float(key) for key in keys]
+                    oldest, oldest_keys = published[0]
+                    assert oldest.gather_exact(oldest_keys) == [
+                        float(key) for key in oldest_keys
+                    ]
+                    # Keys interned after the first checkout read as misses.
+                    assert oldest.gather_exact([spacing]) is None
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            keys = list(first)
+            for start in range(1, 10_000, 37):
+                batch = [spacing * key for key in range(start, start + 50)]
+                table.put_many(batch, np.array(batch, dtype=np.float64))
+                keys = list(dict.fromkeys(keys + batch))
+                published.append((table.checkout(), keys))
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        frozen, keys = published[-1]
+        assert frozen.gather_exact(keys) == [float(key) for key in keys]
+
     def test_gather_exact_miss_returns_none(self):
         table = ScoreTable()
         table.put(1, 1.0)
@@ -408,21 +507,49 @@ class TestArenaLifecycle:
                 restored.positions_row(0), arena.positions_row(0)
             )
 
-    def test_occupancy_gauges_track_population_and_release(self):
+    def test_occupancy_gauges_track_population_and_release(self, monkeypatch):
+        import gc
+
         users_gauge = obs.gauge("state.arena.users", owner="gauge-test")
         bytes_gauge = obs.gauge("state.arena.bytes", owner="gauge-test")
         base_users, base_bytes = users_gauge.value, bytes_gauge.value
         arena = _arena(owner="gauge-test", initial_capacity=4)
+        # The gauges are resolved once, at construction: interning never
+        # looks an instrument up by name.
+        lookups = []
+        resolve = obs.gauge
+        monkeypatch.setattr(
+            obs, "gauge", lambda *args, **kwargs: lookups.append(args) or resolve(*args, **kwargs)
+        )
         arena.intern_many(list(range(100)))
-        assert users_gauge.value == base_users + 100
+        for user in range(100, 1_000):
+            arena.intern(user)
+        assert lookups == []
+        monkeypatch.undo()
+        assert users_gauge.value == base_users + 1_000
         assert bytes_gauge.value > base_bytes
-        assert arena.stats()["users"] == 100
+        assert arena.stats()["users"] == 1_000
         assert arena.stats()["resident_bytes"] > 0
         del arena
-        import gc
-
         gc.collect()
         assert users_gauge.value == base_users
+        # FreeBS epochs keep their running estimates on arenas too: the
+        # users of an epoch that rotates out leave the gauge with it.
+        freebs_users = obs.gauge("state.arena.users", owner="FreeBS")
+        gc.collect()
+        base_users = freebs_users.value
+        window = WindowedEstimator(
+            lambda _index: FreeBS(1 << 12, seed=1), epoch_pairs=300, window_epochs=2
+        )
+        for start in range(0, 3_000, 100):
+            window.ingest([(start // 7 + offset % 41, offset) for offset in range(100)])
+            gc.collect()
+            retained = sum(len(epoch.estimates()) for epoch in window.epochs)
+            assert freebs_users.value == base_users + retained
+        assert window.epochs_started > 2
+        del window
+        gc.collect()
+        assert freebs_users.value == base_users
 
     def test_growth_events_counter_increments(self):
         counter = obs.counter("state.arena.growth_events", owner="growth-test")
