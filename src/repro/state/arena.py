@@ -437,29 +437,14 @@ class UserArena:
         """``view[u] = view.get(u, 0.0) + source[u]`` per published user of ``source``.
 
         In ``source``'s intern order, so new users are appended in that
-        order: the additive merge of two estimate columns.  A pure-int
-        ``source`` hands over its keys as an ``int64`` column.
+        order: the additive merge of two estimate columns.
         """
         n = source.n_users
-        if (
-            self.n_users == 0
-            and source._estimate_count == n
-            and not (self._interner._track_folds or source._interner._track_folds)
-        ):
-            # An empty arena takes a copy of the source's users wholesale.
-            self._interner = copy.deepcopy(source._interner)
-            self._ensure_capacity(n - 1)
-            self._estimate[:n] = source._estimate[:n]
-            self._has_estimate[:n] = True
-            self._estimate_count = n
-            self._report_users(n)
-            return
-        keys = source._interner.key_array()
-        users: Keys = source._interner.keys[:n] if keys is None else keys
+        users = source._interner.keys[:n]
         values = source._estimate[:n]
         if source._estimate_count != n:
             has = source._has_estimate[:n]
-            users = keys[has] if keys is not None else list(compress(users, has.tolist()))
+            users = list(compress(users, has.tolist()))
             values = values[has]
         codes = self.intern_many(users)
         self.publish(codes)

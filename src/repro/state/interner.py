@@ -30,13 +30,12 @@ a reader holding a frozen prefix of the codes can probe it concurrently.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress, repeat
-from operator import is_
+from itertools import repeat
 from typing import NamedTuple, cast
 
 import numpy as np
 
-from repro.hashing import fold_key, fold_key_array
+from repro.hashing import fold_key
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -109,8 +108,13 @@ class IntIndex(NamedTuple):
         else:
             keys = self.keys
             assert keys is not None and self.codes is not None
-            pos = np.minimum(np.searchsorted(keys, probes), keys.size - 1)
-            codes = np.where(keys[pos] == probes, self.codes[pos], -1)
+            # Searching in sorted order walks the keys one way, several
+            # times faster than a binary search per probe in batch order.
+            order = np.argsort(probes)
+            ordered = probes[order]
+            pos = np.minimum(np.searchsorted(keys, ordered), keys.size - 1)
+            codes = np.empty(probes.size, dtype=np.int64)
+            codes[order] = np.where(keys[pos] == ordered, self.codes[pos], -1)
         return np.where(codes < limit, codes, -1)
 
 
@@ -184,7 +188,6 @@ class UserInterner:
         "_track_folds",
         "_int_only",
         "_int_index",
-        "_key_array",
     )
 
     def __init__(self, track_folds: bool = True, initial_capacity: int = 64) -> None:
@@ -199,26 +202,6 @@ class UserInterner:
         self._int_only = True
         #: The published probe index (None until the first extension).
         self._int_index: IntIndex | None = None
-        #: Read-only cache of :meth:`key_array` (valid while its size matches).
-        self._key_array: np.ndarray | None = None
-
-    def __deepcopy__(self, memo: dict[int, object]) -> UserInterner:
-        # Keys are hashable, so the copy shares them, as a dict copy would;
-        # a per-key deepcopy would dominate the cost.  The arrays are
-        # copied, except the index's sorted arrays, which no one writes.
-        clone = UserInterner.__new__(UserInterner)
-        memo[id(self)] = clone
-        clone._codes = self._codes.copy()
-        clone._keys = self._keys.copy()
-        clone._folds = None if self._folds is None else self._folds.copy()
-        clone._track_folds = self._track_folds
-        clone._int_only = self._int_only
-        index = self._int_index
-        if index is not None and index.table is not None:
-            index = index._replace(table=index.table.copy())
-        clone._int_index = index
-        clone._key_array = self._key_array
-        return clone
 
     # -- size / enumeration ----------------------------------------------------
 
@@ -278,87 +261,43 @@ class UserInterner:
         (:attr:`EncodedBatch.user_hashes` is exactly that, aligned with
         ``batch.users``) — skips recomputing ``fold_key`` per new key.
 
-        Either way the misses are interned in bulk, deduplicated in
-        first-appearance order under the dict's own key equality, so new
+        Known keys resolve through :meth:`lookup_many` (so this is a
+        writer-side call).  The misses are interned in bulk, deduplicated
+        in first-appearance order under the dict's own key equality, so new
         codes follow first appearance exactly as one :meth:`intern` call per
-        key would assign them.  A pure-int population probed with integers
-        finds its known keys through the integer probe index (so this is a
-        writer-side call); anything else takes one C-level ``map`` over the
-        dict.
+        key would assign them.
         """
-        if self._int_only and len(keys) > _VECTOR_MIN:
-            probes = int_probes(keys)
-            if probes is not None:
-                return self._intern_probes(keys, probes, folds)
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        get = self._codes.get
-        codes = list(map(get, keys))
-        if None in codes:
-            misses = list(compress(range(len(codes)), map(is_, codes, repeat(None))))
-            missed = [keys[position] for position in misses]
-            fresh = list(dict.fromkeys(missed))
-            if folds is not None and len(fresh) != len(missed):
-                # A key missed twice keeps the fold of its first position.
-                first = dict(zip(reversed(missed), reversed(misses)))
-                misses = [first[key] for key in fresh]
-            self._append(fresh, None if folds is None else folds[misses])
-            codes = list(map(get, keys))
-        return np.fromiter(codes, dtype=np.int64, count=len(codes))
-
-    def _intern_probes(
-        self, keys: Keys, probes: np.ndarray, folds: np.ndarray | None
-    ) -> np.ndarray:
-        """:meth:`intern_many` for keys that coerce to the ``int64`` ``probes``."""
-        index = self.int_index()
-        if index is None:
-            codes = np.full(probes.size, -1, dtype=np.int64)
-        else:
-            codes = index.probe(probes, index.size)
+        codes = self.lookup_many(keys)
         missing = np.flatnonzero(codes < 0)
         if missing.size == 0:
             return codes
-        missed = probes[missing]
-        missed_ints = missed.tolist()
-        if len(set(missed_ints)) == len(missed_ints):  # no key missed twice
-            positions = missing
-        else:
-            _, first = np.unique(missed, return_index=True)
-            positions = missing[np.sort(first)]
-            missed_ints = probes[positions].tolist()
+        missed: list[object]
         if isinstance(keys, np.ndarray):
-            fresh: list[object] = missed_ints
-            int_only = True
+            missed = keys[missing].tolist()
         else:
-            # The caller's own key objects: a bool stays a bool.  The probes
-            # are int64 already, so only the key types can disqualify.
-            fresh = [keys[position] for position in positions.tolist()]
-            int_only = set(map(type, fresh)) == {int}
-        fresh_probes = probes[positions]
+            missed = [keys[position] for position in missing.tolist()]
+        fresh = list(dict.fromkeys(missed))
+        repeated = len(fresh) != len(missed)
+        fresh_folds: np.ndarray | None = None
         if folds is not None:
+            positions = missing
+            if repeated:
+                # A key missed twice keeps the fold of its first position.
+                first = dict(zip(reversed(missed), reversed(missing.tolist())))
+                positions = np.array([first[key] for key in fresh], dtype=np.int64)
             fresh_folds = folds[positions]
-        elif self._track_folds:
-            fresh_folds = fold_key_array(fresh_probes)
-        else:
-            fresh_folds = None
         start = len(self._keys)
-        self._append(fresh, fresh_folds, int_only)
-        if not self._int_only:  # e.g. a bool key: dict probes from here on
-            if isinstance(keys, np.ndarray):
-                keys = keys.tolist()
-            return np.fromiter(map(self._codes.get, keys), dtype=np.int64, count=len(keys))
-        self._int_index = index = _extend_index(self._int_index, fresh_probes, start)
-        codes[missing] = index.probe(missed, index.size)
+        self._append(fresh, fresh_folds)
+        if repeated:
+            codes[missing] = np.fromiter(
+                map(self._codes.__getitem__, missed), dtype=np.int64, count=len(missed)
+            )
+        else:
+            codes[missing] = np.arange(start, start + len(fresh), dtype=np.int64)
         return codes
 
-    def _append(
-        self, fresh: list[object], folds: np.ndarray | None, int_only: bool | None = None
-    ) -> None:
-        """Give the new, distinct keys ``fresh`` the next codes, in order.
-
-        ``int_only`` is whether every fresh key is a plain int64-range int,
-        when the caller already knows; otherwise it is checked here.
-        """
+    def _append(self, fresh: list[object], folds: np.ndarray | None) -> None:
+        """Give the new, distinct keys ``fresh`` the next codes, in order."""
         start = len(self._keys)
         self._codes.update(zip(fresh, range(start, start + len(fresh))))
         self._keys.extend(fresh)
@@ -367,7 +306,7 @@ class UserInterner:
             if folds is None:
                 folds = np.fromiter(map(fold_key, fresh), dtype=np.uint64, count=len(fresh))
             column[start : start + len(fresh)] = folds
-        if self._int_only and not (_all_int64(fresh) if int_only is None else int_only):
+        if self._int_only and not _all_int64(fresh):
             self._int_only = False
 
     # -- lookup ------------------------------------------------------------------
@@ -382,9 +321,11 @@ class UserInterner:
 
         A pure-int interned population probed with integers resolves through
         the integer probe index (extended first, so this is a writer-side
-        call); everything else falls back to one dict probe per key — both
-        produce identical codes.
+        call); everything else takes one C-level ``map`` over the dict —
+        both produce identical codes.
         """
+        if not self._keys:
+            return np.full(len(keys), -1, dtype=np.int64)
         if self._int_only and len(keys) > _VECTOR_MIN:
             probes = int_probes(keys)
             if probes is not None:
@@ -393,8 +334,9 @@ class UserInterner:
                     return index.probe(probes, index.size)
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
-        get = self._codes.get
-        return np.array([get(key, -1) for key in keys], dtype=np.int64)
+        return np.fromiter(
+            map(self._codes.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
+        )
 
     def folds(self, codes: np.ndarray) -> np.ndarray:
         """Fold column gather (requires ``track_folds=True``)."""
@@ -422,26 +364,6 @@ class UserInterner:
         fresh = np.array(self._keys[start:size], dtype=np.int64)
         index = self._int_index = _extend_index(index, fresh, start)
         return index
-
-    def key_array(self) -> np.ndarray | None:
-        """All keys as ``int64`` in code order (writer side), or None.
-
-        Read off the probe index in O(key span) and cached read-only, so a
-        pure-int population — a closed epoch at every rotation, say — hands
-        its keys to vectorised callers without a per-key conversion.
-        """
-        index = self.int_index()
-        if index is None:
-            return None
-        cached = self._key_array
-        if cached is not None and cached.size == index.size:
-            return cached
-        keys, codes = _index_items(index)
-        ordered = np.empty(index.size, dtype=np.int64)
-        ordered[codes] = keys
-        ordered.flags.writeable = False
-        self._key_array = ordered
-        return ordered
 
     def published_int_index(self) -> IntIndex | None:
         """The last published probe index, without extending it (reader side)."""

@@ -65,6 +65,43 @@ class TestInterner:
         codes = np.array([interner.intern(key) for key in keys])
         assert interner.folds(codes).tolist() == [fold_key(key) for key in keys]
 
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            [list(range(10)), [3, 12, 12, 0, 11, 40, 12], list(range(5, 60, 2))],
+            [[10**9 * k for k in range(8)], [5, 10**9, 5, 7 * 10**9, 10**12]],
+            [[1, 2, 3, 4, 5, 6], [True, 1, 7, True, 8, 9], [2, 3, 4, 5, 6, 10]],
+            [["a", 1, "a", (2, 3), b"x", 1], [1, "1", (2, 3), 4, 5, 6]],
+        ],
+        ids=["dense", "sparse", "bool-collides-with-1", "mixed"],
+    )
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_intern_many_matches_intern_loop(self, batches, as_array):
+        """Bulk interning assigns the codes, order and folds of one intern() per key.
+
+        Each batch is probed first (so integer batches go through the
+        probe index), duplicates inside a batch keep their first position's
+        fold, and a bool key still collides with the int 1.
+        """
+        bulk, loop = UserInterner(), UserInterner()
+        for batch in batches:
+            keys = batch
+            if as_array and all(type(key) is int for key in batch):
+                keys = np.array(batch, dtype=np.int64)
+            folds = np.array(
+                [fold_key(key) ^ position for position, key in enumerate(batch)],
+                dtype=np.uint64,
+            )
+            expected = [loop.intern(key, int(fold)) for key, fold in zip(batch, folds)]
+            assert bulk.lookup_many(keys).tolist() == [
+                loop.lookup(key) if loop.lookup(key) < len(bulk) else -1 for key in batch
+            ]
+            assert bulk.intern_many(keys, folds).tolist() == expected
+            assert bulk.users() == loop.users()
+            codes = np.arange(len(loop), dtype=np.int64)
+            assert bulk.folds(codes).tolist() == loop.folds(codes).tolist()
+            assert bulk._int_only == loop._int_only
+
 
 class TestArenaPositions:
     @pytest.mark.parametrize("mode", ["dense", "fold"])
