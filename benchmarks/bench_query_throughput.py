@@ -208,7 +208,7 @@ def test_query_throughput_json(benchmark):
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {RESULTS_PATH}")
-    for row in payload["methods"].values():
+    for name, row in payload["methods"].items():
         fresh = (
             f", fresh {row['fresh_speedup']:.1f}x" if "fresh_speedup" in row else ""
         )

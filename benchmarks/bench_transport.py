@@ -1,27 +1,20 @@
-"""Wire-transport comparison: NDJSON vs binary frames, queue vs shm handoff.
+"""Wire-transport comparison: NDJSON vs binary frames.
 
-Not a paper artefact: the transports exist so the serving and scale-out
-layers stop paying text/pickle costs for data that is raw numbers end to
-end.  Two measurements, one JSON:
+Not a paper artefact: the binary transport exists so the serving layer
+stops paying text costs for data that is raw numbers end to end.  The
+measurement is ``batch_spread`` over 10k users against a live server, once
+per transport on the same monitor state.  NDJSON formats and parses ~200 KB
+of JSON text per exchange; binary moves the same data as two raw buffers
+(~160 KB) plus a compact header.  The answers must be bit-identical — the
+transport may only change the bytes on the wire.
 
-* **service** — ``batch_spread`` over 10k users against a live server,
-  once per transport on the same monitor state.  NDJSON formats and parses
-  ~200 KB of JSON text per exchange; binary moves the same data as two raw
-  buffers (~160 KB) plus a compact header.  The answers must be
-  bit-identical — the transport may only change the bytes on the wire.
-* **ingest** — 4-worker ``parallel_ingest`` over ~1M pairs, once per chunk
-  handoff.  The Manager queue pickles every chunk through a proxy process;
-  the shm ring memcpys it into a shared slot.  Merged estimates must be
-  bit-identical between the transports.
-
-Each measurement repeats and keeps the minimum — interpreter warm-up and
+The measurement repeats and keeps the minimum — interpreter warm-up and
 page-cache effects dominate single cold runs, and the floor is the number
 the transport actually determines.  Persisted to
 ``benchmarks/results/BENCH_transport.json``.  As with the other runtime
-benchmarks the speedup bars (binary >= 3x on the service side, shm >= queue
-on the ingest side) bind only with ``FREESKETCH_BENCH_STRICT=1``: shared CI
-runners are too contended to gate merges on wall-clock, but the JSON
-records the trajectory either way.
+benchmarks the speedup bar (binary >= 3x) binds only with
+``FREESKETCH_BENCH_STRICT=1``: shared CI runners are too contended to gate
+merges on wall-clock, but the JSON records the trajectory either way.
 """
 
 from __future__ import annotations
@@ -35,28 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
 from repro.monitor import MonitorSpec
-from repro.runtime import parallel_ingest
 from repro.service import EstimateServer, EstimateService, ServiceClient
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / "BENCH_transport.json"
 
 _STRICT = os.environ.get("FREESKETCH_BENCH_STRICT") == "1"
 
-# -- service half -----------------------------------------------------------
-
 _N_QUERY_USERS = 10_000
 _SERVICE_REPS = 9
-
-# -- ingest half ------------------------------------------------------------
-
-_N_PAIRS = 1_000_000
-_N_INGEST_USERS = 5_000
-_INGEST_WORKERS = 4
-_INGEST_REPS = 3
-_INGEST_CONFIG = ExperimentConfig(memory_bits=1 << 20, seed=7)
-_INGEST_METHOD = "FreeRS"
 
 
 class _ServerThread:
@@ -87,20 +67,6 @@ class _ServerThread:
     def close(self):
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=10.0)
-
-
-class _ArrayStream:
-    """Minimal stream over two pre-generated id arrays (no tuple list)."""
-
-    def __init__(self, users: np.ndarray, items: np.ndarray) -> None:
-        self._users = users
-        self._items = items
-
-    def to_int_arrays(self):
-        return self._users, self._items
-
-    def __iter__(self):
-        return zip(self._users.tolist(), self._items.tolist())
 
 
 def _service_monitor():
@@ -156,77 +122,28 @@ def _measure_service() -> dict:
     }
 
 
-def _measure_ingest() -> dict:
-    rng = np.random.default_rng(23)
-    stream = _ArrayStream(
-        ((rng.random(_N_PAIRS) ** 2) * _N_INGEST_USERS).astype(np.int64),
-        rng.integers(0, 200_000, size=_N_PAIRS),
-    )
-    rows, estimates = {}, {}
-    for transport in ("queue", "shm"):
-        best = float("inf")
-        for _ in range(_INGEST_REPS):
-            report = parallel_ingest(
-                stream,
-                method=_INGEST_METHOD,
-                config=_INGEST_CONFIG,
-                expected_users=_N_INGEST_USERS,
-                workers=_INGEST_WORKERS,
-                shards=_INGEST_WORKERS,
-                transport=transport,
-            )
-            best = min(best, report.seconds)
-            estimates[transport] = report.estimates()
-        rows[transport] = {
-            "best_seconds": best,
-            "pairs_per_second": _N_PAIRS / best,
-        }
-    assert estimates["shm"] == estimates["queue"], (
-        "shm ingest diverged from the queue-transport run"
-    )
-    speedup = rows["queue"]["best_seconds"] / rows["shm"]["best_seconds"]
-    return {
-        "method": _INGEST_METHOD,
-        "pairs": _N_PAIRS,
-        "workers": _INGEST_WORKERS,
-        "reps": _INGEST_REPS,
-        "transports": rows,
-        "shm_speedup": speedup,
-        "estimates_identical": True,
-    }
-
-
 def test_transport_speedups_and_json(benchmark):
-    """Measure both halves, assert bit-identity, persist the JSON."""
+    """Measure both transports, assert bit-identity, persist the JSON."""
 
     def measure():
-        return {"service": _measure_service(), "ingest": _measure_ingest()}
+        return {"service": _measure_service()}
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {RESULTS_PATH}")
-    service, ingest = results["service"], results["ingest"]
+    service = results["service"]
     print(
         f"batch_spread({service['users']}): "
         f"ndjson {service['transports']['ndjson']['best_seconds'] * 1e3:7.2f} ms  "
         f"binary {service['transports']['binary']['best_seconds'] * 1e3:7.2f} ms  "
         f"speedup {service['binary_speedup']:.2f}x"
     )
-    print(
-        f"ingest({ingest['pairs']} pairs, {ingest['workers']} workers): "
-        f"queue {ingest['transports']['queue']['best_seconds']:6.2f} s  "
-        f"shm {ingest['transports']['shm']['best_seconds']:6.2f} s  "
-        f"speedup {ingest['shm_speedup']:.2f}x"
-    )
 
     if not _STRICT:
-        print("speedup bars informational (set FREESKETCH_BENCH_STRICT=1 to enforce)")
+        print("speedup bar informational (set FREESKETCH_BENCH_STRICT=1 to enforce)")
         return
     assert service["binary_speedup"] >= 3.0, (
         "binary must answer a 10k-user batch_spread at >=3x the NDJSON rate"
-    )
-    assert ingest["shm_speedup"] >= 1.0, (
-        "the shm ring must not be slower than the Manager-queue handoff"
     )

@@ -35,12 +35,13 @@ import math
 import numpy as np
 
 from repro.core.base import CardinalityEstimator
-from repro.engine.base import BatchUpdatable
+from repro.engine.base import BatchUpdatable, hot_path
 from repro.engine.encoding import EncodedBatch
 from repro.engine.kernels import (
     bit_change_events,
     event_time_for_index,
     last_occurrence,
+    map_distinct,
     touched_query_positions,
 )
 from repro.hashing import HashFamily, hash64
@@ -116,23 +117,24 @@ class CSE(BatchUpdatable, CardinalityEstimator):
     def _estimate_from_counts(self, virtual_zeros: int, global_zero_fraction: float) -> float:
         """The CSE estimation formula from its two sufficient statistics.
 
-        Shared by the scalar path (current array state) and the batch path
-        (counts reconstructed as of a user's last arrival), so the two always
-        agree bit-for-bit.  :meth:`_estimates_from_counts` is its array form.
+        The scalar path's form (one user, current array state).
+        :meth:`_estimates_from_counts` is its array form, which the batch and
+        fresh paths use; the two agree bit-for-bit.
         """
         local_term = float(_local_terms(self.m)[virtual_zeros])
         return max(0.0, local_term + self._correction(global_zero_fraction))
 
     def _estimates_from_counts(
-        self, virtual_zeros: np.ndarray, global_zero_fraction: float
+        self, virtual_zeros: np.ndarray, correction: float | np.ndarray
     ) -> np.ndarray:
         """:meth:`_estimate_from_counts` over a column of virtual-zero counts.
 
-        Same table, same float additions; ``max(0.0, x)`` becomes
-        ``np.where(x > 0.0, x, 0.0)``, so every element is bit-identical to
-        the scalar formula.
+        ``correction`` is :meth:`_correction`'s global term: one value for
+        every user, or a column with each user's own.  Same table, same
+        float additions; ``max(0.0, x)`` becomes ``np.where(x > 0.0, x,
+        0.0)``, so every element is bit-identical to the scalar formula.
         """
-        total = _local_terms(self.m)[virtual_zeros] + self._correction(global_zero_fraction)
+        total = _local_terms(self.m)[virtual_zeros] + correction
         return np.where(total > 0.0, total, 0.0)
 
     def _correction(self, global_zero_fraction: float) -> float:
@@ -160,6 +162,7 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         self._estimates[user] = estimate
         return estimate
 
+    @hot_path
     def update_encoded(self, batch: EncodedBatch) -> None:
         """Vectorised engine path: process a whole encoded batch at once.
 
@@ -170,7 +173,8 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         batch path reproduces this exactly by time-travel: it detects the
         batch's bit-flip events, then reconstructs each user's virtual-zero
         count and the global zero count at the user's last arrival position
-        from the event list, and evaluates the same closed-form estimate.
+        from the event list, and evaluates the array closed form over those
+        columns (the global term once per distinct global zero count).
         """
         count = len(batch)
         if count == 0:
@@ -207,20 +211,17 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         # Global zero counts as of each user's last arrival: one flip per
         # event, events ascending in arrival order.
         flips_so_far = np.searchsorted(events, last_arrival, side="right")
-        zeros_at_start_global = self._bits.zeros
+        corrections = map_distinct(
+            self._bits.zeros - flips_so_far,
+            lambda global_zeros: self._correction(global_zeros / self.M),
+        )
 
         # Commit the array state, then publish the time-correct estimates.
         if event_bits.size:
             self._bits.set_many(event_bits)
-        values = np.empty(batch.n_users, dtype=np.float64)
-        for code in range(batch.n_users):
-            global_zero_fraction = (
-                zeros_at_start_global - int(flips_so_far[code])
-            ) / self.M
-            values[code] = self._estimate_from_counts(
-                int(virtual_zeros[code]), global_zero_fraction
-            )
-        self._arena.set_estimates(arena_codes, values)
+        self._arena.set_estimates(
+            arena_codes, self._estimates_from_counts(virtual_zeros, corrections)
+        )
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
@@ -282,7 +283,7 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         from repro.engine.query import row_zero_bit_counts
 
         virtual_zeros = row_zero_bit_counts(bits, positions)
-        return self._estimates_from_counts(virtual_zeros, bits.zero_fraction)
+        return self._estimates_from_counts(virtual_zeros, self._correction(bits.zero_fraction))
 
     def estimate_fresh_all(self) -> tuple[list[object], np.ndarray]:
         """Every tracked user and its :meth:`estimate_fresh` value, in intern order.

@@ -27,14 +27,16 @@ import math
 import numpy as np
 
 from repro.core.base import CardinalityEstimator
-from repro.engine.base import BatchUpdatable
+from repro.engine.base import BatchUpdatable, hot_path
 from repro.engine.encoding import EncodedBatch
 from repro.engine.kernels import (
     last_occurrence,
+    map_distinct,
     register_change_events,
     touched_query_positions,
     value_after_events,
 )
+from repro.engine.query import row_harmonic_sums, row_register_values, row_zero_counts
 from repro.hashing import HashFamily, geometric_rank, hash64, splitmix64, splitmix64_array
 from repro.hashing.geometric import geometric_rank_array
 from repro.sketches.hll import alpha_m
@@ -110,28 +112,15 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         return self._arena.positions_row(self._arena.intern(user))
 
     def _estimate_from_sketch(self, user: object) -> float:
-        """Recompute the vHLL estimate of ``user`` from the shared array (O(m))."""
-        positions = self._positions(user)
-        values = self._registers.get_many(positions)
-        return self._estimate_from_values(
-            values, self._registers.harmonic_sum, self._registers.zeros
-        )
+        """Recompute the vHLL estimate of ``user`` from the shared array (O(m)).
 
-    def _estimate_from_values(
-        self, values: np.ndarray, global_harmonic_sum: float, global_zeros: int
-    ) -> float:
-        """The vHLL estimation formula from its sufficient statistics.
-
-        ``values`` are the user's ``m`` register values; the global harmonic
-        sum / zero count describe the whole shared array at the same instant.
-        Shared by the scalar path (current state) and the batch path (state
-        reconstructed as of a user's last arrival), so both agree bit-for-bit.
+        The scalar path's form: one user's ``m`` register values against
+        the whole array's current statistics.
         """
+        values = self._registers.get_many(self._positions(user))
         virtual_harmonic = float(np.sum(np.exp2(-values.astype(np.float64))))
         virtual_zeros = int(np.count_nonzero(values == 0))
-        global_term = (self.m / self.M) * self._global_estimate_from(
-            global_harmonic_sum, global_zeros
-        )
+        global_term = self._global_term(self._registers.harmonic_sum, self._registers.zeros)
         return self._estimate_from_stats(virtual_harmonic, virtual_zeros, global_term)
 
     def _estimate_from_stats(
@@ -139,9 +128,8 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
     ) -> float:
         """The closed-form estimate from already-reduced per-user statistics.
 
-        Split out so the vectorised query path (which reduces all users'
-        harmonic sums and zero counts in one numpy pass) evaluates exactly
-        the same scalar arithmetic as the per-user path.
+        :meth:`_estimates_from_stats` is its array form, which the batch and
+        fresh paths use; the two agree bit-for-bit.
         """
         raw_local = self._alpha_m * self.m * self.m / virtual_harmonic
         if raw_local < 2.5 * self.m and virtual_zeros > 0:
@@ -150,13 +138,18 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         return max(0.0, scale * (raw_local - global_term))
 
     def _estimates_from_stats(
-        self, virtual_harmonic: np.ndarray, virtual_zeros: np.ndarray, global_term: float
+        self,
+        virtual_harmonic: np.ndarray,
+        virtual_zeros: np.ndarray,
+        global_term: float | np.ndarray,
     ) -> np.ndarray:
         """:meth:`_estimate_from_stats` over columns of per-user statistics.
 
-        The same float operations element-wise, the same linear-counting
-        table, and ``np.where(x > 0.0, x, 0.0)`` for ``max(0.0, x)`` — every
-        element is bit-identical to the scalar formula.
+        ``global_term`` is one value for every user, or a column with each
+        user's own.  The same float operations element-wise, the same
+        linear-counting table, and ``np.where(x > 0.0, x, 0.0)`` for
+        ``max(0.0, x)`` — every element is bit-identical to the scalar
+        formula.
         """
         raw_local = self._alpha_m * self.m * self.m / virtual_harmonic
         linear = (raw_local < 2.5 * self.m) & (virtual_zeros > 0)
@@ -165,20 +158,18 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         total = scale * (raw_local - global_term)
         return np.where(total > 0.0, total, 0.0)
 
-    def _global_cardinality_estimate(self) -> float:
-        """HLL estimate of the total distinct-pair count over the whole array.
-
-        The noise-correction term of vHLL is ``m/M`` times this quantity.  The
-        small-range (linear counting) switch matters here: on a lightly loaded
-        array the raw harmonic estimator overestimates by several times, which
-        would push every light user's corrected estimate to zero.
-        """
-        return self._global_estimate_from(
-            self._registers.harmonic_sum, self._registers.zeros
-        )
+    def _global_term(self, harmonic_sum: float, zeros: int) -> float:
+        """The noise term: ``m/M`` times the whole-array estimate."""
+        return (self.m / self.M) * self._global_estimate_from(harmonic_sum, zeros)
 
     def _global_estimate_from(self, harmonic_sum: float, zeros: int) -> float:
-        """The whole-array HLL estimate from its two sufficient statistics."""
+        """HLL estimate of the total distinct-pair count over the whole array.
+
+        Taken from the array's two sufficient statistics.  The small-range
+        (linear counting) switch matters here: on a lightly loaded array the
+        raw harmonic estimator overestimates by several times, which would
+        push every light user's corrected estimate to zero.
+        """
         raw_global = self._alpha_M * self.M * self.M / harmonic_sum
         if raw_global < 2.5 * self.M and zeros > 0:
             return self.M * math.log(self.M / zeros)
@@ -206,6 +197,7 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         self._estimates[user] = estimate
         return estimate
 
+    @hot_path
     def update_encoded(self, batch: EncodedBatch) -> None:
         """Vectorised engine path: process a whole encoded batch at once.
 
@@ -216,8 +208,9 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         replays only those (rare) events through the register array so the
         incrementally-maintained harmonic sum takes exactly the scalar value
         trajectory, and reconstructs each user's ``m`` register values at its
-        last arrival from the event list before evaluating the same
-        closed-form estimate.
+        last arrival from the event list before evaluating the array closed
+        form over those rows (the global term once per distinct global
+        state).
         """
         count = len(batch)
         if count == 0:
@@ -269,19 +262,21 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
             )
         values_then = values_then.reshape(batch.n_users, self.m)
 
+        # The global statistics as of each user's last arrival: the state
+        # after its last preceding event (index 0 is the batch start).
         events_so_far = np.searchsorted(positions, last_arrival, side="right")
-        estimates = np.empty(batch.n_users, dtype=np.float64)
-        for code in range(batch.n_users):
-            seen = int(events_so_far[code])
-            if seen == 0:
-                harmonic, zeros = harmonic_at_start, zeros_at_start
-            else:
-                harmonic = float(harmonic_after_event[seen - 1])
-                zeros = int(zeros_after_event[seen - 1])
-            estimates[code] = self._estimate_from_values(
-                np.ascontiguousarray(values_then[code]), harmonic, zeros
-            )
-        self._arena.set_estimates(arena_codes, estimates)
+        harmonic_then = np.concatenate(([harmonic_at_start], harmonic_after_event))
+        zeros_then = np.concatenate(([zeros_at_start], zeros_after_event))
+        global_terms = map_distinct(
+            events_so_far,
+            lambda seen: self._global_term(float(harmonic_then[seen]), int(zeros_then[seen])),
+        )
+        self._arena.set_estimates(
+            arena_codes,
+            self._estimates_from_stats(
+                row_harmonic_sums(values_then), row_zero_counts(values_then), global_terms
+            ),
+        )
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
@@ -341,14 +336,11 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         (this estimator's own array) and the cached sliding merge (a merged
         array of the same dimensioning).
         """
-        from repro.engine.query import row_harmonic_sums, row_register_values, row_zero_counts
-
         values = row_register_values(registers, positions)
-        global_term = (self.m / self.M) * self._global_estimate_from(
-            registers.harmonic_sum, registers.zeros
-        )
         return self._estimates_from_stats(
-            row_harmonic_sums(values), row_zero_counts(values), global_term
+            row_harmonic_sums(values),
+            row_zero_counts(values),
+            self._global_term(registers.harmonic_sum, registers.zeros),
         )
 
     def estimate_fresh_all(self) -> tuple[list[object], np.ndarray]:

@@ -3,24 +3,24 @@
 Monitoring deployments need to checkpoint sketch state: a monitor restarts,
 a snapshot is shipped to an analysis box, or an operator wants yesterday's
 state next to today's.  This module serialises all six compared methods —
-FreeBS / FreeRS (scalar and batch variants), CSE, vHLL and the per-user LPC
-/ HLL++ baselines — plus :class:`repro.engine.ShardedEstimator` compositions
-of any of them, to a compact, versioned, self-describing JSON + base85
-payload, and restores them exactly: estimates, shared-array state and seeds
-round-trip so a restored estimator continues the stream as if nothing
-happened.
+FreeBS, FreeRS, CSE, vHLL and the per-user LPC / HLL++ baselines — plus
+:class:`repro.engine.ShardedEstimator` compositions of any of them, to a
+compact, versioned, self-describing JSON + base85 payload, and restores them
+exactly: estimates, shared-array state and seeds round-trip so a restored
+estimator continues the stream as if nothing happened.
 
 Dispatch is codec-table driven: each estimator kind has one
 :class:`_Codec` (kind tag, estimator class, dump/load functions).  The six
 compared methods take their tag and class from the central method registry
 (:mod:`repro.registry` — the ``MethodSpec.tag`` field), so the snapshot
 format and the method layer cannot drift apart; the engine-level
-``Sharded`` envelope and the legacy ``FreeBSBatch`` / ``FreeRSBatch``
-variants are registered locally.
+``Sharded`` envelope is registered locally.  Any other ``kind`` fails to
+load with ``unknown snapshot kind``.
 
 Format history:
 
-* version 1 — FreeBS / FreeRS (scalar and batch) only;
+* version 1 — FreeBS / FreeRS only (the ``FreeBSBatch`` / ``FreeRSBatch``
+  kinds of that era's separate batch classes no longer load);
 * version 2 — adds the ``CSE``, ``vHLL``, ``LPC``, ``HLL++`` and ``Sharded``
   kinds (sharded envelopes nest one sub-envelope per shard);
 * version 3 — adds ``bytes`` / ``tuple`` key kinds and the columnar
@@ -44,7 +44,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import FreeBSBatch, FreeRSBatch
 from repro.core.freebs import FreeBS
 from repro.core.freers import FreeRS
 
@@ -54,8 +53,6 @@ _FORMAT_VERSION = 3
 
 #: Payload versions this loader understands (older versions stay readable).
 _ACCEPTED_VERSIONS = frozenset({1, 2, 3})
-
-SerializableEstimator = FreeBS | FreeRS | FreeBSBatch | FreeRSBatch
 
 
 def _encode_array(array: np.ndarray) -> str:
@@ -208,25 +205,6 @@ def _load_freebs(body: dict):
     return estimator
 
 
-def _dump_freebs_batch(estimator) -> dict:
-    return {
-        "memory_bits": estimator.M,
-        "seed": estimator.seed,
-        "pairs_processed": estimator.pairs_processed,
-        "bits": _encode_array(estimator._bit_state),
-        "zero_bits": estimator._zero_bits,
-    }
-
-
-def _load_freebs_batch(body: dict):
-    estimator = FreeBSBatch(body["memory_bits"], seed=body["seed"])
-    bits = _decode_array(body["bits"], np.bool_, estimator.M)
-    estimator._bit_state[:] = bits
-    estimator._zero_bits = int(body["zero_bits"])
-    estimator._pairs_processed = int(body["pairs_processed"])
-    return estimator
-
-
 def _dump_freers(estimator) -> dict:
     return {
         "registers": estimator.M,
@@ -242,27 +220,6 @@ def _load_freers(body: dict):
         body["registers"], register_width=body["register_width"], seed=body["seed"]
     )
     _restore_registers(estimator._registers, body["values"], estimator.M)
-    estimator._pairs_processed = int(body["pairs_processed"])
-    return estimator
-
-
-def _dump_freers_batch(estimator) -> dict:
-    return {
-        "registers": estimator.M,
-        "register_width": estimator.register_width,
-        "seed": estimator.seed,
-        "pairs_processed": estimator.pairs_processed,
-        "values": _encode_array(estimator._register_state),
-    }
-
-
-def _load_freers_batch(body: dict):
-    estimator = FreeRSBatch(
-        body["registers"], register_width=body["register_width"], seed=body["seed"]
-    )
-    values = _decode_array(body["values"], np.int64, estimator.M)
-    estimator._register_state[:] = values
-    estimator._harmonic_sum = float(np.sum(np.exp2(-values.astype(np.float64))))
     estimator._pairs_processed = int(body["pairs_processed"])
     return estimator
 
@@ -392,7 +349,7 @@ _CODEC_BY_TAG: dict[str, _Codec] = {}
 
 
 def _codecs() -> list[_Codec]:
-    """Build (once) the codec table from the method registry + local kinds."""
+    """Build (once) the codec table from the method registry + the sharded kind."""
     if _CODECS:
         return _CODECS
     # Imported lazily: repro.core.__init__ loads this module, and the
@@ -405,8 +362,6 @@ def _codecs() -> list[_Codec]:
     for name, spec in REGISTRY.items():
         dump, load = _METHOD_STATE_CODECS[name]
         table.append(_Codec(spec.tag, spec.estimator_cls, dump, load))
-    table.append(_Codec("FreeBSBatch", FreeBSBatch, _dump_freebs_batch, _load_freebs_batch))
-    table.append(_Codec("FreeRSBatch", FreeRSBatch, _dump_freers_batch, _load_freers_batch))
     _CODECS.extend(table)
     _CODEC_BY_TAG.update({codec.tag: codec for codec in table})
     return _CODECS
@@ -419,7 +374,7 @@ def _dump_body(estimator) -> tuple:
             return codec.tag, codec.dump(estimator)
     raise TypeError(
         f"cannot serialise {type(estimator).__name__}; supported kinds: "
-        "FreeBS/FreeRS (scalar or batch), CSE, vHLL, LPC, HLL++ and "
+        "FreeBS, FreeRS, CSE, vHLL, LPC, HLL++ and "
         "Sharded compositions of them"
     )
 

@@ -197,10 +197,9 @@ def encode_pairs(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, object]]:
     """Encode arbitrary (user, item) pairs into integer arrays for batch APIs.
 
-    Legacy tuple-shaped API kept for the original FreeBS/FreeRS batch
-    estimators: returns ``(user_codes, pair_hash_keys, decode_table)``.  New
-    code should prefer :meth:`EncodedBatch.from_pairs`, which also carries the
-    separate user/item folds the other estimators need.
+    Tuple-shaped API: returns ``(user_codes, pair_hash_keys, decode_table)``.
+    Estimators take :meth:`EncodedBatch.from_pairs`, which also carries the
+    separate user/item folds they need.
     """
     batch = EncodedBatch.from_pairs(list(pairs))
     return batch.user_codes, batch.pair_keys(), batch.decode_table()

@@ -19,6 +19,10 @@ this module provides independent of any particular estimator:
     arrival position* from the batch's event list, so per-user estimates can
     be evaluated at each user's last arrival exactly as the scalar paths do.
 
+``map_distinct``
+    A scalar formula as a column: evaluated once per distinct key (CSE's
+    and vHLL's global terms, one per global array state) and gathered back.
+
 All kernels operate on plain numpy arrays; the estimator classes own the
 storage (:class:`~repro.sketches.bitarray.BitArray`,
 :class:`~repro.sketches.registers.RegisterArray`) and the update semantics.
@@ -26,7 +30,7 @@ storage (:class:`~repro.sketches.bitarray.BitArray`,
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -124,6 +128,19 @@ def last_occurrence(codes: np.ndarray, n_codes: int) -> np.ndarray:
     last = np.full(n_codes, -1, dtype=np.int64)
     np.maximum.at(last, codes, np.arange(codes.shape[0], dtype=np.int64))
     return last
+
+
+def map_distinct(keys: np.ndarray, scalar: Callable[[int], float]) -> np.ndarray:
+    """``[scalar(key) for key in keys]`` as float64, one ``scalar`` call per distinct key.
+
+    For formulas that must stay bit-identical to their scalar form:
+    ``math.log`` and ``np.log`` may differ in the last bit, so the scalar
+    formula runs once per distinct integer key (at most ``len(keys)``
+    calls) and one gather broadcasts the results back.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    table = np.array([scalar(key) for key in distinct.tolist()], dtype=np.float64)
+    return table[inverse.reshape(-1)]
 
 
 def event_time_for_index(

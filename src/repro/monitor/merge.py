@@ -33,44 +33,59 @@ All merges require identical dimensioning and seeds on both sides — the
 :class:`~repro.monitor.window.WindowedEstimator` guarantees this by building
 every epoch from the same factory.
 
-Two implementations of the same merge live here.  :func:`merge_into` /
+Each registry method declares its merge once, as a
+:class:`~repro.registry.MergeSpec` on its ``MethodSpec``: the merge family
+and the attributes both sides must share.  This module looks the
+declaration up by ``type(estimator)`` and implements each family once, as
+one class per family: :class:`_AdditivePrefix` (FreeBS, FreeRS),
+:class:`_SharedArrayPrefix` (CSE, vHLL) and :class:`_ObjectPrefix` (LPC,
+HLL++).  ``ShardedEstimator`` is the one structural case: it recurses per
+shard.  An estimator without a declaration has no merge:
+:func:`merge_exactness`, :func:`merge_into` and :func:`sliding_prefix` raise
+``TypeError`` for it, :func:`refresh_estimates_from_state` leaves it alone
+and :func:`fresh_estimates` returns its ``estimates()``.
+
+Two forms of the same merge live in each family.  :func:`merge_into` /
 :func:`merged_copy` combine whole estimator objects; they are the reference
 behind ``window_estimates`` and the only path for the per-user-sketch
-baselines (LPC, HLL++).  :func:`sliding_prefix` is the cached form the
-sliding queries use: it keeps a closed-epoch prefix as raw arrays (shared
-array union plus the union's users for CSE/vHLL, one column of left-fold
-estimate sums for FreeBS/FreeRS) and adds the live epoch per query,
-returning :class:`EstimateColumns` with the same keys, order and values.
+baselines (LPC, HLL++).  :func:`sliding_prefix` builds the family's cached
+sliding form: it keeps a closed-epoch prefix as raw arrays (shared array
+union plus the union's users for CSE/vHLL, one column of left-fold estimate
+sums for FreeBS/FreeRS) and adds the live epoch per query, returning
+:class:`EstimateColumns` with the same keys, order and values.
 :func:`additive_rescore` is the additive merge restricted to a few users:
 the monitor's incremental evaluation re-scores a batch's users with it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import copy
 import itertools
+import operator
 
 import numpy as np
 
-from repro.baselines.cse import CSE
-from repro.baselines.per_user import PerUserHLLPP, PerUserLPC
-from repro.baselines.vhll import VirtualHLL
-from repro.core.freebs import FreeBS
-from repro.core.freers import FreeRS
 from repro.engine.base import hot_path
 from repro.engine.sharded import ShardedEstimator
-from repro.sketches.bitarray import BitArray
-from repro.sketches.registers import RegisterArray
+from repro.registry.specs import ADDITIVE, MERGE_SPECS, PER_USER, SHARED_ARRAY, MergeSpec
 from repro.state import UserArena
 from repro.state.interner import int_probes
 
 #: Merge semantics per estimator class: ``exact`` means the merged estimate
 #: equals a single run's fresh re-estimate over the union stream;
-#: ``additive`` means the merged estimate is the sum of per-part estimates.
+#: ``additive`` (the additive family's name) means the merged estimate is
+#: the sum of per-part estimates.
 EXACT = "exact"
-ADDITIVE = "additive"
+
+
+def _declared(estimator) -> MergeSpec:
+    """The estimator's merge declaration; ``TypeError`` when it has none."""
+    declared = MERGE_SPECS.get(type(estimator))
+    if declared is None:
+        raise TypeError(f"no monitor merge support for {type(estimator).__name__}")
+    return declared
 
 
 def merge_exactness(estimator: object) -> str:
@@ -78,11 +93,7 @@ def merge_exactness(estimator: object) -> str:
     if isinstance(estimator, ShardedEstimator):
         guarantees = {merge_exactness(shard) for shard in estimator.shards}
         return ADDITIVE if ADDITIVE in guarantees else EXACT
-    if isinstance(estimator, (CSE, VirtualHLL, PerUserLPC, PerUserHLLPP)):
-        return EXACT
-    if isinstance(estimator, (FreeBS, FreeRS)):
-        return ADDITIVE
-    raise TypeError(f"no monitor merge support for {type(estimator).__name__}")
+    return EXACT if _declared(estimator).exact else ADDITIVE
 
 
 def _require(condition: bool, what: str) -> None:
@@ -90,17 +101,15 @@ def _require(condition: bool, what: str) -> None:
         raise ValueError(f"cannot merge: {what} must match on both sides")
 
 
-def _merge_bitarray(target_bits, source_bits) -> None:
-    target_bits.union_update(source_bits)
+def _require_shared(declared: MergeSpec, first, other) -> None:
+    """Both sides agree on every attribute the declaration lists."""
+    shared = operator.attrgetter(*declared.shared)
+    _require(shared(first) == shared(other), ", ".join(declared.shared))
 
 
-def _merge_registers(target_registers, source_registers) -> None:
-    target_registers.merge_max(source_registers)
-
-
-def _sum_estimates(target, source) -> None:
-    """``target[u] = target.get(u, 0.0) + v`` for source's users, in its order."""
-    target._arena.add_estimates_from(source._arena)
+def _union(declared: MergeSpec, merged, source) -> None:
+    """Union ``source``'s shared array into the array ``merged`` (OR / register max)."""
+    declared.union(merged, getattr(source, declared.array))
 
 
 def tracked_users(estimator) -> list:
@@ -146,74 +155,9 @@ def merge_into(target, source, refresh_estimates: bool = True):
             for ours, theirs in zip(target._shard_pairs, source._shard_pairs)
         ]
         return target
-    if isinstance(target, FreeBS):
-        _require((target.M, target.seed) == (source.M, source.seed), "memory and seed")
-        _merge_bitarray(target._bits, source._bits)
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
-        target._pairs_sampled += source._pairs_sampled
-        return target
-    if isinstance(target, FreeRS):
-        _require(
-            (target.M, target._registers.width, target.seed)
-            == (source.M, source._registers.width, source.seed),
-            "registers, width and seed",
-        )
-        _merge_registers(target._registers, source._registers)
-        _sum_estimates(target, source)
-        target._pairs_processed += source._pairs_processed
-        target._pairs_sampled += source._pairs_sampled
-        return target
-    if isinstance(target, CSE):
-        _require(
-            (target.M, target.m, target.seed) == (source.M, source.m, source.seed),
-            "memory, virtual size and seed",
-        )
-        _merge_bitarray(target._bits, source._bits)
-        for user in source._estimates:
-            target._estimates.setdefault(user, 0.0)
-        if refresh_estimates:
-            refresh_estimates_from_state(target)
-        return target
-    if isinstance(target, VirtualHLL):
-        _require(
-            (target.M, target.m, target._registers.width, target.seed)
-            == (source.M, source.m, source._registers.width, source.seed),
-            "registers, virtual size, width and seed",
-        )
-        _merge_registers(target._registers, source._registers)
-        for user in source._estimates:
-            target._estimates.setdefault(user, 0.0)
-        if refresh_estimates:
-            refresh_estimates_from_state(target)
-        return target
-    if isinstance(target, PerUserLPC):
-        _require(
-            (target.bits_per_user, target.seed) == (source.bits_per_user, source.seed),
-            "per-user bits and seed",
-        )
-        return _merge_per_user(target, source, refresh_estimates)
-    if isinstance(target, PerUserHLLPP):
-        _require(
-            (target.registers_per_user, target.register_width, target.seed)
-            == (source.registers_per_user, source.register_width, source.seed),
-            "per-user registers, width and seed",
-        )
-        return _merge_per_user(target, source, refresh_estimates)
-    raise TypeError(f"no monitor merge support for {type(target).__name__}")
-
-
-def _merge_per_user(target, source, refresh: bool):
-    for user, sketch in source._sketches.items():
-        mine = target._sketches.get(user)
-        if mine is None:
-            target._sketches[user] = copy.deepcopy(sketch)
-        else:
-            mine.merge(sketch)
-        if refresh:
-            target._estimates[user] = float(target._sketches[user].estimate())
-        else:
-            target._estimates.setdefault(user, 0.0)
+    declared = _declared(target)
+    _require_shared(declared, target, source)
+    _FAMILIES[declared.family].merge(declared, target, source, refresh_estimates)
     return target
 
 
@@ -221,22 +165,16 @@ def refresh_estimates_from_state(estimator) -> None:
     """Re-evaluate an exact-merge estimator's estimates from its sketch state.
 
     Estimates of the exact methods are pure functions of the (merged) state;
-    additive methods keep their accumulated sums, so this is a no-op for
-    them.
+    additive methods keep their accumulated sums, and estimators without a
+    merge declaration keep theirs, so this is a no-op for them.
     """
     if isinstance(estimator, ShardedEstimator):
         for shard in estimator._shards:
             refresh_estimates_from_state(shard)
         return
-    if isinstance(estimator, (CSE, VirtualHLL)):
-        # The full intern-order population: one column write.
-        _users, values = estimator.estimate_fresh_all()
-        estimator._arena.set_all_estimates(values)
-        return
-    if isinstance(estimator, (PerUserLPC, PerUserHLLPP)):
-        for user, sketch in estimator._sketches.items():
-            estimator._estimates[user] = float(sketch.estimate())
-        return
+    declared = MERGE_SPECS.get(type(estimator))
+    if declared is not None:
+        _FAMILIES[declared.family].refresh(estimator)
 
 
 def fresh_estimates(estimator) -> dict[object, float]:
@@ -253,10 +191,10 @@ def fresh_estimates(estimator) -> dict[object, float]:
         for shard in estimator._shards:
             combined.update(fresh_estimates(shard))
         return combined
-    if isinstance(estimator, (CSE, VirtualHLL)):
-        users, values = estimator.estimate_fresh_all()
-        return dict(zip(users, values.tolist()))
-    return estimator.estimates()
+    declared = MERGE_SPECS.get(type(estimator))
+    if declared is None:
+        return estimator.estimates()
+    return _FAMILIES[declared.family].fresh(estimator)
 
 
 def merged_copy(estimators: Sequence):
@@ -335,43 +273,58 @@ def as_columns(estimates: Mapping[object, float]) -> tuple[list, np.ndarray]:
     return users, np.fromiter(estimates.values(), dtype=np.float64, count=len(users))
 
 
-class _SharedArrayPrefix:
-    """CSE/vHLL closed epochs as one shared-array union plus its users.
+# -- merge families: whole-object merges and their cached sliding forms ----------
 
-    Users are held in a :class:`~repro.state.UserArena` in merge order: the
-    oldest epoch's users in intern order, then each later epoch's new users
-    in its own intern order — the order :func:`merged_copy` produces.  The
-    live epoch's users are appended as a tail slice (its arena only
-    appends), so a query interns only the users it has not seen yet.
+
+class _SharedArrayPrefix:
+    """The shared-array family (CSE, vHLL): union the array, re-evaluate the users.
+
+    An instance is the family's sliding form: closed epochs as one
+    shared-array union plus its users.  Users are held in a
+    :class:`~repro.state.UserArena` in merge order: the oldest epoch's
+    users in intern order, then each later epoch's new users in its own
+    intern order — the order :func:`merged_copy` produces.  The live
+    epoch's users are appended as a tail slice (its arena only appends), so
+    a query interns only the users it has not seen yet.
     """
 
-    def __init__(
-        self,
-        estimators: Sequence,
-        shared: Callable[[object], BitArray | RegisterArray],
-        union: Callable,
-    ) -> None:
-        first = estimators[0]
-        self._config = (first.M, first.m, first.seed)
-        self._shared = shared
-        self._union = union
-        merged = shared(first).copy()
+    @staticmethod
+    def merge(declared: MergeSpec, target, source, refresh: bool) -> None:
+        _union(declared, getattr(target, declared.array), source)
+        for user in source._estimates:
+            target._estimates.setdefault(user, 0.0)
+        if refresh:
+            refresh_estimates_from_state(target)
+
+    @staticmethod
+    def refresh(estimator) -> None:
+        # The full intern-order population: one column write.
+        _users, values = estimator.estimate_fresh_all()
+        estimator._arena.set_all_estimates(values)
+
+    @staticmethod
+    def fresh(estimator) -> dict[object, float]:
+        users, values = estimator.estimate_fresh_all()
+        return dict(zip(users, values.tolist()))
+
+    def __init__(self, estimators: Sequence, declared: MergeSpec) -> None:
+        self._declared = declared
+        first = self._first = estimators[0]
+        merged = getattr(first, declared.array).copy()
         users = UserArena(m=first.m, family=first._family, owner="sliding")
         users.adopt(first._arena)
         for other in estimators[1:]:
-            self._check(other)
-            union(merged, shared(other))
+            _require_shared(declared, first, other)
+            _union(declared, merged, other)
             users.adopt(other._arena, published_only=True)
         self._merged = merged
         self._users = users
-        self._scratch: BitArray | RegisterArray | None = None
+        self._scratch = None
         self._live_seen = 0
 
-    def _check(self, other) -> None:
-        _require((other.M, other.m, other.seed) == self._config, "memory, virtual size and seed")
-
     def query(self, live) -> EstimateColumns:
-        self._check(live)
+        declared = self._declared
+        _require_shared(declared, self._first, live)
         self._users.adopt(live._arena, self._live_seen, published_only=True)
         self._live_seen = live._arena.n_users
         scratch = self._scratch
@@ -381,24 +334,45 @@ class _SharedArrayPrefix:
             scratch.copy_from(self._merged)
         # union_update / merge_max recount the global statistics from the
         # merged array, exactly as merge_into leaves them.
-        self._union(scratch, self._shared(live))
+        _union(declared, scratch, live)
         values = live._fresh_estimates_for(scratch, self._users.all_positions())
         return EstimateColumns(self._users.users(), values)
 
 
 class _AdditivePrefix:
-    """FreeBS/FreeRS closed epochs as one column of left-fold estimate sums.
+    """The additive family (FreeBS, FreeRS): union the shared array, sum the estimates.
 
-    The sums live in an estimates-only :class:`~repro.state.UserArena`
-    whose users are in merge order: the oldest epoch's users in intern
-    order, then each later epoch's new users.  A query appends the live
-    users the prefix has not seen yet (the live arena only appends, and
-    publishes every user it interns) and adds the live column on top.
+    An instance is the family's sliding form: closed epochs as one column
+    of left-fold estimate sums.  The sums live in an estimates-only
+    :class:`~repro.state.UserArena` whose users are in merge order: the
+    oldest epoch's users in intern order, then each later epoch's new
+    users.  A query appends the live users the prefix has not seen yet (the
+    live arena only appends, and publishes every user it interns) and adds
+    the live column on top.
     """
 
-    def __init__(self, estimators: Sequence) -> None:
+    @staticmethod
+    def merge(declared: MergeSpec, target, source, refresh: bool) -> None:
+        _union(declared, getattr(target, declared.array), source)
+        # target[u] = target.get(u, 0.0) + v for source's users, in its order.
+        target._arena.add_estimates_from(source._arena)
+        target._pairs_processed += source._pairs_processed
+        target._pairs_sampled += source._pairs_sampled
+
+    @staticmethod
+    def refresh(estimator) -> None:
+        """The accumulated sums are the estimates: nothing to re-evaluate."""
+
+    @staticmethod
+    def fresh(estimator) -> dict[object, float]:
+        return estimator.estimates()
+
+    def __init__(self, estimators: Sequence, declared: MergeSpec) -> None:
+        self._declared = declared
+        first = self._first = estimators[0]
         sums = UserArena(owner="sliding")
         for estimator in estimators:
+            _require_shared(declared, first, estimator)
             sums.add_estimates_from(estimator._arena)
         self._sums = sums
         self._closed = sums.n_users
@@ -406,6 +380,7 @@ class _AdditivePrefix:
         self._live_codes = np.empty(0, dtype=np.int64)
 
     def query(self, live) -> EstimateColumns:
+        _require_shared(self._declared, self._first, live)
         arena = live._arena
         seen, n = self._live_codes.size, arena.n_users
         if n > seen:
@@ -415,15 +390,42 @@ class _AdditivePrefix:
         values = np.zeros(sums.n_users, dtype=np.float64)
         values[: self._closed] = sums.estimate_slice(self._closed)
         # Codes are unique, so this is one ``sum + live`` per user — the
-        # same float addition _sum_estimates performs (0.0 + v for new users).
+        # same float addition merge() performs (0.0 + v for new users).
         values[self._live_codes] += arena.estimate_slice(n)
         return EstimateColumns(sums.users(), values)
 
 
 class _ObjectPrefix:
-    """LPC/HLL++ closed epochs as a merged estimator (per-user sketch objects)."""
+    """The per-user family (LPC, HLL++): merge the per-user sketches.
 
-    def __init__(self, estimators: Sequence) -> None:
+    An instance is the family's sliding form: closed epochs as a merged
+    estimator (per-user sketch objects), copied and merged with the live
+    epoch per query.
+    """
+
+    @staticmethod
+    def merge(declared: MergeSpec, target, source, refresh: bool) -> None:
+        for user, sketch in source._sketches.items():
+            mine = target._sketches.get(user)
+            if mine is None:
+                target._sketches[user] = copy.deepcopy(sketch)
+            else:
+                mine.merge(sketch)
+            if refresh:
+                target._estimates[user] = float(target._sketches[user].estimate())
+            else:
+                target._estimates.setdefault(user, 0.0)
+
+    @staticmethod
+    def refresh(estimator) -> None:
+        for user, sketch in estimator._sketches.items():
+            estimator._estimates[user] = float(sketch.estimate())
+
+    @staticmethod
+    def fresh(estimator) -> dict[object, float]:
+        return estimator.estimates()
+
+    def __init__(self, estimators: Sequence, declared: MergeSpec) -> None:
         self._merged = merged_copy(estimators)
 
     def query(self, live) -> dict[object, float]:
@@ -431,6 +433,14 @@ class _ObjectPrefix:
         merge_into(combined, live, refresh_estimates=False)
         refresh_estimates_from_state(combined)
         return combined.estimates()
+
+
+#: One implementation per merge family, keyed by :attr:`MergeSpec.family`.
+_FAMILIES = {
+    ADDITIVE: _AdditivePrefix,
+    SHARED_ARRAY: _SharedArrayPrefix,
+    PER_USER: _ObjectPrefix,
+}
 
 
 class _ShardedPrefix:
@@ -472,15 +482,8 @@ def sliding_prefix(estimators: Sequence):
         raise TypeError("cannot merge estimators of different classes")
     if isinstance(first, ShardedEstimator):
         return _ShardedPrefix(estimators)
-    if isinstance(first, CSE):
-        return _SharedArrayPrefix(estimators, lambda e: e._bits, BitArray.union_update)
-    if isinstance(first, VirtualHLL):
-        return _SharedArrayPrefix(estimators, lambda e: e._registers, RegisterArray.merge_max)
-    if isinstance(first, (FreeBS, FreeRS)):
-        return _AdditivePrefix(estimators)
-    if isinstance(first, (PerUserLPC, PerUserHLLPP)):
-        return _ObjectPrefix(estimators)
-    raise TypeError(f"no monitor merge support for {kind.__name__}")
+    declared = _declared(first)
+    return _FAMILIES[declared.family](estimators, declared)
 
 
 @hot_path

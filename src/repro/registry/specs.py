@@ -11,15 +11,16 @@ clamping between them.  This module replaces all of that with one
   paper's protocol (Section V-B): FreeBS and CSE get ``M`` bits, FreeRS and
   vHLL get ``M / w`` registers of ``w`` bits, the per-user baselines are
   dimensioned from the expected user population;
-* the **merge capability** (``mergeable``): whether sketch-level union
-  merges are *exact* (CSE / vHLL / LPC / HLL++ — estimates are pure
-  functions of order-independent sketch state) or only *additive*
-  (FreeBS / FreeRS — Horvitz–Thompson sums depend on the fill trajectory);
-  this mirrors :func:`repro.monitor.merge.merge_exactness`;
+* the **merge declaration** (``merge``, a :class:`MergeSpec`): the merge
+  family and the attributes both sides of a merge must share.
+  :mod:`repro.monitor.merge` looks it up by estimator class and implements
+  each family once.  ``mergeable`` derives from it: sketch-level union
+  merges are *exact* for the shared-array and per-user families (CSE /
+  vHLL / LPC / HLL++ — estimates are pure functions of order-independent
+  sketch state) and only *additive* for FreeBS / FreeRS (Horvitz–Thompson
+  sums depend on the fill trajectory);
 * the **serialization tag** (``tag``): the ``kind`` string used by
-  :mod:`repro.core.serialization` snapshot envelopes;
-* **batch-engine support** (``batch_engine``): whether the estimator
-  implements the engine's vectorised ``update_encoded`` path.
+  :mod:`repro.core.serialization` snapshot envelopes.
 
 The virtual-sketch methods share one documented clamp,
 :func:`clamp_virtual_size`; the historical divergence (CSE clamped only to
@@ -32,11 +33,12 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Any, Protocol
 
 from repro.baselines import CSE, PerUserHLLPP, PerUserLPC, VirtualHLL
 from repro.core import FreeBS, FreeRS
 from repro.core.base import CardinalityEstimator
+from repro.sketches import BitArray, RegisterArray
 
 #: Floor of the virtual sketch size: below this the LC/HLL estimators are
 #: meaningless, so the clamp never dimensions a virtual sketch smaller.
@@ -153,6 +155,36 @@ def _dimension_hllpp(config: DimensionConfig, expected_users: int) -> dict[str, 
     }
 
 
+#: Merge families (:attr:`MergeSpec.family`), each implemented once in
+#: :mod:`repro.monitor.merge`.  ``additive``: union the shared array and sum
+#: the estimate columns.  ``shared-array``: union the shared array, then
+#: re-evaluate the union's users with the array closed form.  ``per-user``:
+#: merge the per-user sketches.
+ADDITIVE = "additive"
+SHARED_ARRAY = "shared-array"
+PER_USER = "per-user"
+
+
+@dataclass(frozen=True)
+class MergeSpec:
+    """How two estimators of one method union-merge."""
+
+    #: :data:`ADDITIVE`, :data:`SHARED_ARRAY` or :data:`PER_USER`.
+    family: str
+    #: Attributes both sides must share (dimensioning and seeds); dotted
+    #: names reach into the shared array.
+    shared: tuple[str, ...]
+    #: Attribute holding the shared array (additive and shared-array families).
+    array: str = ""
+    #: In-place union of two shared arrays: OR for bits, max for registers.
+    union: Callable[[Any, Any], None] | None = None
+
+    @property
+    def exact(self) -> bool:
+        """Whether the merged estimate equals a single run's fresh re-estimate."""
+        return self.family != ADDITIVE
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """Everything the rest of the system needs to know about one method."""
@@ -165,15 +197,15 @@ class MethodSpec:
     estimator_cls: type[CardinalityEstimator]
     #: Equal-memory dimensioning rule (see module docstring).
     dimension: DimensionRule
-    #: True when sketch-level union merges are *exact* (estimates are pure
-    #: functions of order-independent sketch state); False for the additive
-    #: FreeBS/FreeRS semantics.  Mirrors :mod:`repro.monitor.merge`.
-    mergeable: bool
-    #: True when the estimator implements the engine's vectorised
-    #: ``update_encoded`` batch path.
-    batch_engine: bool
+    #: Merge family and shared attributes (see :class:`MergeSpec`).
+    merge: MergeSpec
     #: One-line description for docs and ``--help`` output.
     summary: str
+
+    @property
+    def mergeable(self) -> bool:
+        """True when sketch-level union merges are *exact* (not additive)."""
+        return self.merge.exact
 
     def dimensions(self, config: DimensionConfig, expected_users: int) -> dict[str, object]:
         """Constructor kwargs for this method under ``config``'s budget."""
@@ -183,15 +215,14 @@ class MethodSpec:
         """JSON-ready description of the spec.
 
         The service layer's ``stats`` op embeds this so a remote client can
-        learn the served method's capabilities (merge exactness, batch
-        support) without importing the registry.
+        learn the served method's merge exactness without importing the
+        registry.
         """
         return {
             "name": self.name,
             "tag": self.tag,
             "estimator": self.estimator_cls.__name__,
             "mergeable": self.mergeable,
-            "batch_engine": self.batch_engine,
             "summary": self.summary,
         }
 
@@ -213,8 +244,7 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="FreeBS",
             estimator_cls=FreeBS,
             dimension=_dimension_freebs,
-            mergeable=False,
-            batch_engine=True,
+            merge=MergeSpec(ADDITIVE, ("M", "seed"), "_bits", BitArray.union_update),
             summary="bit-sharing estimator with Horvitz-Thompson updates (the paper's)",
         ),
         MethodSpec(
@@ -222,8 +252,9 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="FreeRS",
             estimator_cls=FreeRS,
             dimension=_dimension_freers,
-            mergeable=False,
-            batch_engine=True,
+            merge=MergeSpec(
+                ADDITIVE, ("M", "_registers.width", "seed"), "_registers", RegisterArray.merge_max
+            ),
             summary="register-sharing estimator with HT updates (the paper's)",
         ),
         MethodSpec(
@@ -231,8 +262,7 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="CSE",
             estimator_cls=CSE,
             dimension=_dimension_cse,
-            mergeable=True,
-            batch_engine=True,
+            merge=MergeSpec(SHARED_ARRAY, ("M", "m", "seed"), "_bits", BitArray.union_update),
             summary="compact spread estimator: virtual LPC over shared bits",
         ),
         MethodSpec(
@@ -240,8 +270,12 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="vHLL",
             estimator_cls=VirtualHLL,
             dimension=_dimension_vhll,
-            mergeable=True,
-            batch_engine=True,
+            merge=MergeSpec(
+                SHARED_ARRAY,
+                ("M", "m", "_registers.width", "seed"),
+                "_registers",
+                RegisterArray.merge_max,
+            ),
             summary="virtual HyperLogLog over shared registers",
         ),
         MethodSpec(
@@ -249,8 +283,7 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="LPC",
             estimator_cls=PerUserLPC,
             dimension=_dimension_lpc,
-            mergeable=True,
-            batch_engine=True,
+            merge=MergeSpec(PER_USER, ("bits_per_user", "seed")),
             summary="per-user linear probabilistic counting baseline",
         ),
         MethodSpec(
@@ -258,8 +291,7 @@ REGISTRY: Mapping[str, MethodSpec] = {
             tag="HLL++",
             estimator_cls=PerUserHLLPP,
             dimension=_dimension_hllpp,
-            mergeable=True,
-            batch_engine=True,
+            merge=MergeSpec(PER_USER, ("registers_per_user", "register_width", "seed")),
             summary="per-user HyperLogLog++ baseline",
         ),
     )
@@ -267,3 +299,8 @@ REGISTRY: Mapping[str, MethodSpec] = {
 
 #: Order in which methods appear in every table (matches the paper's legends).
 METHOD_ORDER = list(REGISTRY)
+
+#: Each registry class's merge declaration, looked up by ``type(estimator)``.
+MERGE_SPECS: Mapping[type, MergeSpec] = {
+    spec.estimator_cls: spec.merge for spec in REGISTRY.values()
+}

@@ -1,17 +1,13 @@
 """Single-stream cardinality sketches and the array substrates they share.
 
-This subpackage implements, from scratch, every sketch the paper builds on or
-compares against:
+This subpackage implements, from scratch, the single-stream sketches the
+compared methods are built from:
 
 * :class:`~repro.sketches.bitarray.BitArray` — packed bit array substrate.
 * :class:`~repro.sketches.registers.RegisterArray` — packed w-bit register
   array substrate.
 * :class:`~repro.sketches.lpc.LinearProbabilisticCounter` — LPC (Whang et
   al. 1990).
-* :class:`~repro.sketches.fm.FlajoletMartinSketch` — FM / PCSA (Flajolet &
-  Martin 1985).
-* :class:`~repro.sketches.loglog.LogLogSketch` — LogLog (Durand & Flajolet
-  2003).
 * :class:`~repro.sketches.hll.HyperLogLog` — HLL (Flajolet et al. 2007).
 * :class:`~repro.sketches.hllpp.HyperLogLogPlusPlus` — HLL++ (Heule et
   al. 2013).
@@ -23,8 +19,6 @@ streaming estimators live in :mod:`repro.core` and :mod:`repro.baselines`.
 from repro.sketches.bitarray import BitArray
 from repro.sketches.registers import RegisterArray
 from repro.sketches.lpc import LinearProbabilisticCounter
-from repro.sketches.fm import FlajoletMartinSketch
-from repro.sketches.loglog import LogLogSketch
 from repro.sketches.hll import HyperLogLog, alpha_m
 from repro.sketches.hllpp import HyperLogLogPlusPlus
 
@@ -32,8 +26,6 @@ __all__ = [
     "BitArray",
     "RegisterArray",
     "LinearProbabilisticCounter",
-    "FlajoletMartinSketch",
-    "LogLogSketch",
     "HyperLogLog",
     "HyperLogLogPlusPlus",
     "alpha_m",

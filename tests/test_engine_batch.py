@@ -118,6 +118,19 @@ class TestScalarBatchEquivalence:
         _drive_batch(batch, pairs, 333)
         assert batch.estimates() == scalar.estimates()
 
+    @pytest.mark.parametrize("method", ["CSE", "vHLL"])
+    def test_users_before_the_first_change_event(self, method):
+        """A batch opening with repeats (which change nothing) evaluates
+        their users against the shared array as it stood at batch start."""
+        # Enough distinct pairs that vHLL's global estimate has left linear
+        # counting, so every change event moves the global term.
+        warmup = _random_pairs(8_000, n_items=5_000, seed=6)
+        fresh = [(user + 100, item) for user, item in _random_pairs(300, n_items=10**6, seed=7)]
+        scalar = _drive_scalar(FACTORIES[method](), warmup + warmup[:300] + fresh)
+        batch = _drive_batch(FACTORIES[method](), warmup, 500)
+        batch.update_batch(warmup[:300] + fresh)
+        assert list(batch.estimates().items()) == list(scalar.estimates().items())
+
     def test_empty_batch_is_noop(self):
         for factory in FACTORIES.values():
             estimator = factory()
@@ -183,3 +196,37 @@ class TestBatchProperties:
         batch = _drive_batch(FreeBS(1 << 10, seed=13), pairs, chunk)
         assert batch.estimates() == scalar.estimates()
         assert list(batch.estimates().items()) == list(scalar.estimates().items())
+
+
+SATURATING = {
+    # Tiny shared arrays the 41-user stream below saturates: FreeBS reaches
+    # q = 0, CSE's global term hits its full-array clamp, FreeRS registers
+    # pin at their 3-bit maximum, and vHLL's global estimate switches from
+    # linear counting to the raw harmonic form at pair 171, inside a batch
+    # for every chunk size but 1.
+    "FreeBS": lambda: FreeBS(64, seed=5),
+    "FreeRS": lambda: FreeRS(32, register_width=3, seed=5),
+    "CSE": lambda: CSE(64, virtual_size=16, seed=5),
+    "vHLL": lambda: VirtualHLL(64, virtual_size=16, seed=5),
+}
+
+SATURATING_STREAMS = {
+    "41-users": lambda: _random_pairs(3_000, n_users=40, n_items=5_000, seed=1),
+    "one-user": lambda: [("u", item) for item in range(5_000)],
+}
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("chunk", [1, 7, 500, 10_000])
+    @pytest.mark.parametrize("stream", sorted(SATURATING_STREAMS))
+    @pytest.mark.parametrize("method", sorted(SATURATING))
+    def test_saturated_batch_equals_scalar(self, method, stream, chunk):
+        pairs = SATURATING_STREAMS[stream]()
+        scalar = _drive_scalar(SATURATING[method](), pairs)
+        batch = _drive_batch(SATURATING[method](), pairs, chunk)
+        assert list(batch.estimates().items()) == list(scalar.estimates().items())
+        if method in ("FreeBS", "CSE"):
+            assert batch._bits.to_numpy().tolist() == scalar._bits.to_numpy().tolist()
+        else:
+            assert batch._registers.values.tolist() == scalar._registers.values.tolist()
+            assert batch._registers.harmonic_sum == scalar._registers.harmonic_sum

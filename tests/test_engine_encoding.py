@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FreeBS, encode_int_pairs, encode_pairs
-from repro.engine import EncodedBatch
+from repro.core import FreeBS
+from repro.engine import EncodedBatch, encode_int_pairs, encode_pairs
 from repro.hashing import fold_key, fold_key_array, hash64, pair_key
 
 EDGE_IDS = [

@@ -72,9 +72,6 @@ class TestSpecs:
         assert METHOD_ORDER == list(REGISTRY)
         assert METHOD_ORDER == ["FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++"]
 
-    def test_all_methods_support_the_batch_engine(self):
-        assert all(spec.batch_engine for spec in REGISTRY.values())
-
     def test_merge_capability_mirrors_monitor_semantics(self):
         from repro.monitor.merge import EXACT, merge_exactness
 

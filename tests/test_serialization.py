@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import FreeBS, FreeBSBatch, FreeRS, FreeRSBatch
+from repro.core import FreeBS, FreeRS
 from repro.core import serialization
 from repro.baselines import CSE, ExactCounter, PerUserHLLPP, PerUserLPC, VirtualHLL
 from repro.engine import ShardedEstimator
@@ -28,10 +28,8 @@ def _pairs(count, seed=0):
     [
         lambda: FreeBS(1 << 12, seed=3),
         lambda: FreeRS(1 << 9, seed=3),
-        lambda: FreeBSBatch(1 << 12, seed=3),
-        lambda: FreeRSBatch(1 << 9, seed=3),
     ],
-    ids=["FreeBS", "FreeRS", "FreeBSBatch", "FreeRSBatch"],
+    ids=["FreeBS", "FreeRS"],
 )
 class TestRoundTrip:
     def test_estimates_survive_round_trip(self, factory):
