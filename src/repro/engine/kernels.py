@@ -31,7 +31,6 @@ storage (:class:`~repro.sketches.bitarray.BitArray`,
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from typing import Any
 
 import numpy as np
 
@@ -187,35 +186,6 @@ def value_after_events(
     previous = np.maximum(slot - 1, 0)
     has_event = (slot > 0) & (event_indices[previous] == query_indices)
     return np.where(has_event, event_values[previous], initial_values)
-
-
-def cached_positions_matrix(
-    batch: Any, family: Any, cache: dict[object, np.ndarray]
-) -> np.ndarray:
-    """Return the ``(n_users, family.m)`` virtual-sketch position matrix.
-
-    Shared by the CSE and vHLL batch paths: cached rows are reused, missing
-    rows are computed in one vectorised family evaluation (bit-identical to
-    the scalar ``family.positions`` path) and written back to ``cache``,
-    exactly as the scalar updates would.
-    """
-    matrix = np.empty((batch.n_users, family.m), dtype=np.int64)
-    missing = []
-    for code, user in enumerate(batch.users):
-        cached = cache.get(user)
-        if cached is not None:
-            matrix[code] = cached
-        else:
-            missing.append(code)
-    if missing:
-        rows = family.positions_from_hashes(
-            batch.user_hashes[np.asarray(missing, dtype=np.int64)]
-        )
-        for row_index, code in enumerate(missing):
-            row = rows[row_index].copy()
-            matrix[code] = row
-            cache[batch.users[code]] = row
-    return matrix
 
 
 def touched_query_positions(

@@ -53,10 +53,10 @@ def positions_matrix_for_users(
 ) -> np.ndarray:
     """Return the ``(len(users), family.m)`` virtual-sketch position matrix.
 
-    The query-side sibling of :func:`repro.engine.kernels.cached_positions_matrix`
-    for plain user sequences (no :class:`~repro.engine.encoding.EncodedBatch`
-    in hand).  An arena-backed cache (:class:`repro.state.PositionsView`)
-    answers with one interned-code gather over its columnar positions block
+    For plain user sequences (no :class:`~repro.engine.encoding.EncodedBatch`
+    in hand; batch updates read positions from the arena directly).  An
+    arena-backed cache (:class:`repro.state.PositionsView`) answers with one
+    interned-code gather over its columnar positions block
     (or one vectorised fold evaluation in fold mode) — bit-identical to
     ``family.positions`` by the hashing layer's contract.  For plain dict
     caches, cached rows are stacked in one fancy-indexed copy, missing rows

@@ -4,22 +4,19 @@ Generic linters see none of the invariants this repository's correctness
 actually rests on — the ingest-lock discipline (PR 4), the never-block
 asyncio server (PR 4), vectorized hot paths (PRs 1/5/8), registry/codec
 consistency (PR 3/6), bit-identity determinism, and the telemetry catalog
-(PR 7).  Each shipped rule encodes one of those contracts; the simpler
-ones as stdlib-``ast`` passes, and the resource/lock/dtype/cancellation
-rules (RL007–RL010) as *flow-sensitive* analyses over a per-function CFG
-(:mod:`repro.lint.cfg`) with a worklist dataflow solver
-(:mod:`repro.lint.dataflow`).  Findings carry ``file:line``, the rule id
-and a fix hint — some a mechanical ``--fix`` — and are silenced only by
+(PR 7).  Each shipped rule encodes one of those contracts; most as
+stdlib-``ast`` passes, and the cancellation rule (RL010) as a
+*flow-sensitive* analysis over a per-function CFG (:mod:`repro.lint.cfg`)
+with a worklist dataflow solver (:mod:`repro.lint.dataflow`).  Findings
+carry ``file:line``, the rule id and a fix hint, and are silenced only by
 an inline, reasoned, staleness-checked suppression.
 
-Run as ``python -m repro.lint [paths] [--strict] [--json] [--fix]`` or
-``repro.cli lint`` (identical flags, shared parser); the checker catalog
-lives in ``docs/architecture.md``.
+Run as ``python -m repro.lint [paths] [--strict] [--json] [--rules ...]``
+or ``repro.cli lint`` (identical flags, shared parser); the checker
+catalog lives in ``docs/architecture.md``.
 """
 
 from repro.lint.base import Checker, FileContext, ProjectContext
-from repro.lint.baseline import diff_baseline, load_baseline, save_baseline
-from repro.lint.cache import LintCache, checker_fingerprint
 from repro.lint.checkers import all_checkers
 from repro.lint.driver import (
     PARSE_RULE,
@@ -29,31 +26,21 @@ from repro.lint.driver import (
     run_from_args,
     run_lint,
 )
-from repro.lint.findings import Edit, Finding, Fix
-from repro.lint.fixes import apply_fixes, fix_source
+from repro.lint.findings import Finding
 from repro.lint.suppress import META_RULE, SuppressionTable
 
 __all__ = [
     "META_RULE",
     "PARSE_RULE",
     "Checker",
-    "Edit",
     "FileContext",
     "Finding",
-    "Fix",
-    "LintCache",
     "LintResult",
     "ProjectContext",
     "SuppressionTable",
     "add_lint_arguments",
     "all_checkers",
-    "apply_fixes",
-    "checker_fingerprint",
-    "diff_baseline",
-    "fix_source",
-    "load_baseline",
     "main",
     "run_from_args",
     "run_lint",
-    "save_baseline",
 ]

@@ -1,7 +1,7 @@
 """Small AST helpers shared by the checker set.
 
 These existed as private helpers inside individual checkers (RL002 grew
-the first copies); the flow rules need them too, so they live here once.
+the first copies); RL005 and RL010 need them too, so they live here once.
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ def call_origin(func: ast.expr, aliases: dict[str, str]) -> str | None:
         if base is None:
             return None
         return f"{base}.{func.attr}"
-    return None
-
-
-def dotted_name(node: ast.expr) -> str | None:
-    """The literal dotted text of a Name/Attribute chain (``self._lock``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        if base is None:
-            return None
-        return f"{base}.{node.attr}"
     return None
 
 
@@ -66,12 +54,3 @@ def walk_expressions(element: ast.AST) -> Iterator[ast.AST]:
             if isinstance(child, ast.Lambda):
                 continue
             stack.append(child)
-
-
-def names_loaded(element: ast.AST) -> set[str]:
-    """Every bare name read anywhere in ``element`` (nested defs excluded)."""
-    return {
-        node.id
-        for node in walk_expressions(element)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }

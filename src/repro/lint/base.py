@@ -10,8 +10,8 @@ Two kinds of pass share one interface:
   cross-file invariants must hold over the whole tree even when the lint
   run was pointed at a subset of it.
 
-Checkers are stateless between runs; cross-file state accumulates on the
-instance between ``check`` and ``finalize`` and is reset by ``start``.
+Checkers keep no state between calls: a cross-file checker reads all it
+needs through the :class:`ProjectContext` in ``finalize``.
 """
 
 from __future__ import annotations
@@ -59,31 +59,15 @@ class FileContext:
 
 
 class ProjectContext:
-    """The repository as cross-file checkers see it.
-
-    Every access is recorded — file reads as ``rel -> content hash``
-    (empty string: the file was probed and absent), glob expansions as
-    ``pattern -> matches`` — so the incremental cache can fingerprint
-    exactly what the cross-file checkers depended on and replay their
-    findings while none of it changed.
-    """
+    """The repository as cross-file checkers see it (files parsed once)."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
         self._cache: dict[str, FileContext | None] = {}
-        #: rel path -> content hash of every file read ("" when absent).
-        self.file_deps: dict[str, str] = {}
-        #: glob pattern -> the sorted match list it expanded to.
-        self.glob_deps: dict[str, list[str]] = {}
 
     def add(self, context: FileContext) -> None:
         """Seed the cache with an already-parsed file (the driver's targets)."""
         self._cache.setdefault(context.rel, context)
-
-    def _record(self, rel: str, source: str | None) -> None:
-        from repro.lint.cache import content_hash
-
-        self.file_deps.setdefault(rel, "" if source is None else content_hash(source))
 
     def load(self, rel: str) -> FileContext | None:
         """Parse ``root/rel`` (cached); None when absent or unparseable."""
@@ -97,10 +81,6 @@ class ProjectContext:
                 except SyntaxError:
                     context = None
             self._cache[rel] = context
-        else:
-            context = self._cache[rel]
-            if context is not None:
-                self._record(rel, context.source)
         return self._cache[rel]
 
     def read_text(self, rel: str) -> str | None:
@@ -111,21 +91,17 @@ class ProjectContext:
         """
         path = self.root / rel
         try:
-            source = path.read_bytes().decode("utf-8") if path.is_file() else None
+            return path.read_bytes().decode("utf-8") if path.is_file() else None
         except (OSError, UnicodeDecodeError):
-            source = None
-        self._record(rel, source)
-        return source
+            return None
 
     def glob(self, pattern: str) -> list[str]:
         """Sorted repo-relative matches of a root-anchored glob."""
-        matches = sorted(
+        return sorted(
             match.relative_to(self.root).as_posix()
             for match in self.root.glob(pattern)
             if match.is_file()
         )
-        self.glob_deps.setdefault(pattern, matches)
-        return matches
 
 
 class Checker:
@@ -138,9 +114,6 @@ class Checker:
     #: fnmatch patterns (against the repo-relative posix path) selecting
     #: the files :meth:`check` runs on; empty means "no per-file pass".
     scope: tuple[str, ...] = ()
-
-    def start(self, project: ProjectContext) -> None:
-        """Reset cross-file state at the beginning of a run."""
 
     def in_scope(self, rel: str) -> bool:
         return any(fnmatch(rel, pattern) for pattern in self.scope)

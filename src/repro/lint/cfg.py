@@ -1,10 +1,9 @@
-"""Per-function control-flow graphs for the flow-sensitive checkers.
+"""Per-function control-flow graphs for the flow-sensitive checker.
 
-The AST-pattern checkers (RL001–RL006) see *syntax*; the flow rules
-(RL007–RL010) need *paths*: a resource released in one branch but not the
-``except`` arm, a lock still held on an early return, a dtype that differs
-between two arms of an ``if``.  This module lowers one function body into
-a conservative CFG that the :mod:`repro.lint.dataflow` fixpoint walks.
+The AST-pattern checkers (RL001–RL006) see *syntax*; RL010's task-join
+check needs *paths*: a task awaited on one branch but skipped by an early
+return or an ``except`` arm.  This module lowers one function body into a
+conservative CFG that the :mod:`repro.lint.dataflow` fixpoint walks.
 
 Shape of the graph:
 
@@ -14,8 +13,8 @@ Shape of the graph:
   Tiny blocks keep transfer functions trivial and make exception edges
   precise to the statement;
 * two distinguished exits — :attr:`CFG.exit` (normal return) and
-  :attr:`CFG.raise_exit` (an exception escaping the function).  "Released
-  on all paths" checks read the dataflow fact at both;
+  :attr:`CFG.raise_exit` (an exception escaping the function).  RL010
+  reads the dataflow fact at the normal exit;
 * every element that can raise carries an ``exception`` edge to the
   innermost construct that would observe it (an ``except`` dispatch, a
   ``finally`` body, a ``with`` exit, or the raise exit);
@@ -65,10 +64,6 @@ class Marker:
 
     kind: str
     node: ast.AST
-    #: For ``with_exit``: True on the copy reached when the body raised.
-    exceptional: bool = False
-    #: For ``with_enter``/``with_exit``: the item belongs to ``async with``.
-    is_async: bool = False
 
 
 Element = ast.stmt | Marker
@@ -112,14 +107,6 @@ class CFG:
         self.blocks[src].succs.append(edge)
         self.blocks[dst].preds.append(edge)
 
-    def elements(self) -> list[tuple[int, Element]]:
-        """Every (block id, element) pair, in block-creation order."""
-        return [
-            (block.id, block.element)
-            for block in self.blocks
-            if block.element is not None
-        ]
-
 
 def _can_raise(element: Element) -> bool:
     """Whether executing ``element`` may raise (conservative default: yes)."""
@@ -137,7 +124,7 @@ def _can_raise(element: Element) -> bool:
 class _FinallyScope:
     """One enclosing construct a non-local jump must run on the way out."""
 
-    #: ``("finally", <stmt list>)`` or ``("with", <withitem>, is_async)``.
+    #: ``("finally", <stmt list>)`` or ``("with", <withitem>)``.
     payload: tuple
     #: Exception target in force *outside* the construct (where an
     #: exception raised by the finally body itself propagates).
@@ -203,14 +190,7 @@ class _Builder:
         if key in self._copies:
             return self._copies[key]
         if scope.payload[0] == "with":
-            _, item, is_async = scope.payload
-            marker = Marker(
-                "with_exit",
-                item,
-                exceptional=continuation == scope.outer_exc,
-                is_async=is_async,
-            )
-            block = self.cfg.new_block(marker)
+            block = self.cfg.new_block(Marker("with_exit", scope.payload[1]))
             self.cfg.add_edge(block.id, continuation)
             self.cfg.add_edge(block.id, scope.outer_exc, KIND_EXCEPTION)
             entry = block.id
@@ -343,13 +323,12 @@ class _Builder:
         return after if self.cfg.blocks[after].preds else None
 
     def _build_with(self, stmt: ast.With | ast.AsyncWith, pred: int) -> int | None:
-        is_async = isinstance(stmt, ast.AsyncWith)
         current: int | None = pred
         opened: list[_FinallyScope] = []
         for item in stmt.items:
             assert current is not None
-            current = self.element_block(Marker("with_enter", item, is_async=is_async), current)
-            scope = _FinallyScope(("with", item, is_async), self.exc_target, len(self.loops))
+            current = self.element_block(Marker("with_enter", item), current)
+            scope = _FinallyScope(("with", item), self.exc_target, len(self.loops))
             self.scopes.append(scope)
             opened.append(scope)
             # While the body runs, an escaping exception executes __exit__
@@ -360,10 +339,7 @@ class _Builder:
             self.exc_targets.pop()
             self.scopes.pop()
             if body_tail is not None:
-                exit_block = self.element_block(
-                    Marker("with_exit", scope.payload[1], is_async=is_async), body_tail
-                )
-                body_tail = exit_block
+                body_tail = self.element_block(Marker("with_exit", scope.payload[1]), body_tail)
         return body_tail
 
     def _build_try(self, stmt: ast.Try, pred: int) -> int | None:

@@ -4,13 +4,10 @@ from repro.lint.base import Checker
 from repro.lint.checkers.async_blocking import AsyncBlockingChecker
 from repro.lint.checkers.async_cancel import AsyncCancelChecker
 from repro.lint.checkers.determinism import DeterminismChecker
-from repro.lint.checkers.dtype_flow import DtypeFlowChecker
 from repro.lint.checkers.hotpath import HotPathChecker
-from repro.lint.checkers.lock_flow import LockFlowChecker
 from repro.lint.checkers.locks import LockDisciplineChecker
 from repro.lint.checkers.metrics_drift import MetricsDriftChecker
 from repro.lint.checkers.registry_sync import RegistrySyncChecker
-from repro.lint.checkers.resource_leak import ResourceLeakChecker
 
 
 def all_checkers() -> list[Checker]:
@@ -22,8 +19,5 @@ def all_checkers() -> list[Checker]:
         RegistrySyncChecker(),
         DeterminismChecker(),
         MetricsDriftChecker(),
-        ResourceLeakChecker(),
-        LockFlowChecker(),
-        DtypeFlowChecker(),
         AsyncCancelChecker(),
     ]

@@ -23,12 +23,11 @@ called, which the executor pattern makes deliberate.
 from __future__ import annotations
 
 import ast
-import dataclasses
 
 from repro.lint.astutil import attr_tail as _attr_tail
 from repro.lint.astutil import call_origin as _call_origin
 from repro.lint.base import Checker, FileContext
-from repro.lint.findings import Edit, Finding, Fix
+from repro.lint.findings import Finding
 
 #: Dotted call origins that block the event loop, with the fix to name.
 _BLOCKING_CALLS: dict[str, str] = {
@@ -112,18 +111,15 @@ class AsyncBlockingChecker(Checker):
     ) -> None:
         origin = _call_origin(call.func, aliases)
         if origin in _BLOCKING_CALLS:
-            finding = self._finding(
-                context,
-                call,
-                func,
-                f"calls blocking `{origin}`",
-                _BLOCKING_CALLS[origin],
+            findings.append(
+                self._finding(
+                    context,
+                    call,
+                    func,
+                    f"calls blocking `{origin}`",
+                    _BLOCKING_CALLS[origin],
+                )
             )
-            if origin == "time.sleep":
-                fix = _sleep_fix(call, func, aliases)
-                if fix is not None:
-                    finding = dataclasses.replace(finding, fix=fix)
-            findings.append(finding)
             return
         if origin == "open" or origin == "io.open":
             findings.append(
@@ -173,33 +169,3 @@ class AsyncBlockingChecker(Checker):
             message=f"async def {func.name} {what}",
             hint=hint,
         )
-
-
-def _sleep_fix(
-    call: ast.Call, func: ast.AsyncFunctionDef, aliases: dict[str, str]
-) -> Fix | None:
-    """``time.sleep(x)`` as a bare statement becomes ``await asyncio.sleep(x)``.
-
-    Only offered when the module imports ``asyncio`` (the service layer
-    always does) and the call is a standalone expression statement — in any
-    other position the rewrite would change a value.
-    """
-    if not any(origin == "asyncio" for origin in aliases.values()):
-        return None
-    is_statement = any(
-        isinstance(node, ast.Expr) and node.value is call for node in ast.walk(func)
-    )
-    if not is_statement or call.func.end_lineno is None:
-        return None
-    return Fix(
-        description="replace time.sleep with await asyncio.sleep",
-        edits=(
-            Edit(
-                call.func.lineno,
-                call.func.col_offset,
-                call.func.end_lineno,
-                call.func.end_col_offset or 0,
-                "await asyncio.sleep",
-            ),
-        ),
-    )

@@ -7,27 +7,29 @@ reintroduce:
   that somebody must ``await`` (or ``cancel()`` *and then* await): a task
   nobody joins silently swallows its exceptions, and one that is cancelled
   but never awaited may still be mid-``finally`` when the server tears
-  down its state.  The ownership dataflow tracks task handles exactly like
-  RL007 tracks file handles — storing the task, returning it, gathering
-  it, or registering a done-callback all transfer ownership; a path on
-  which the local handle is still pending (or cancelled-but-unjoined) at a
-  function exit is a finding;
+  down its state.  The ownership dataflow (:mod:`repro.lint.ownership`)
+  tracks task handles through each function's CFG — storing the task,
+  returning it, gathering it, or registering a done-callback all transfer
+  ownership; a path on which the local handle is still pending (or
+  cancelled-but-unjoined) at a function exit is a finding;
 * **unshielded awaits in ``finally``.** Cleanup code runs on the
   cancellation path too: a bare ``await`` inside ``finally`` re-raises
   ``CancelledError`` immediately and abandons the rest of the cleanup.
-  The sanctioned pattern is ``await asyncio.shield(...)``; the finding
-  carries an autofix that wraps the awaited expression.
+  The sanctioned pattern is ``await asyncio.shield(...)``.  This half is
+  syntactic: an ``await`` inside a nested ``finally:`` is found once per
+  enclosing ``finally`` body, and the driver's deduplication reports it
+  once.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import attr_tail, walk_expressions
+from repro.lint.astutil import attr_tail, call_origin, walk_expressions
 from repro.lint.base import Checker, FileContext
 from repro.lint.cfg import build_cfg, function_defs
 from repro.lint.dataflow import run_forward
-from repro.lint.findings import Edit, Finding, Fix
+from repro.lint.findings import Finding
 from repro.lint.ownership import OwnershipAnalysis, Site
 
 _TASK_ORIGINS = {"asyncio.create_task", "asyncio.ensure_future"}
@@ -42,11 +44,11 @@ _TASK_METHODS = {
 
 
 class _TaskAnalysis(OwnershipAnalysis):
-    status_order = ("pending", "cancelled", "held")
+    status_order = ("pending", "cancelled")
     acquire_status = "pending"
 
     def acquire(self, call: ast.Call) -> str | None:
-        origin = self.origin_of(call)
+        origin = call_origin(call.func, self.aliases)
         if origin in _TASK_ORIGINS:
             return f"{origin}(...)"
         # ``loop.create_task(...)`` — any loop-ish receiver counts; a
@@ -61,17 +63,6 @@ class _TaskAnalysis(OwnershipAnalysis):
 
     def release_status(self, method: str) -> str | None:
         return _TASK_METHODS.get(method)
-
-    def _scan_await(self, node, state, discharged, restatus):
-        # ``await t`` / ``await asyncio.gather(t, ...)`` joins the task.
-        value = node.value
-        if isinstance(value, ast.Name) and value.id in state:
-            discharged = discharged | {value.id}
-        elif isinstance(value, ast.Call):
-            for sub in walk_expressions(value):
-                if isinstance(sub, ast.Name) and sub.id in state:
-                    discharged = discharged | {sub.id}
-        return discharged, restatus
 
 
 class AsyncCancelChecker(Checker):
@@ -96,9 +87,6 @@ class AsyncCancelChecker(Checker):
     def _check_finally_awaits(
         self, context: FileContext, aliases: dict[str, str], func: ast.AsyncFunctionDef
     ) -> list[Finding]:
-        from repro.lint.astutil import call_origin
-
-        has_asyncio = any(origin == "asyncio" for origin in aliases.values())
         findings: list[Finding] = []
         for node in walk_expressions(func):
             if not (isinstance(node, ast.Try) and node.finalbody):
@@ -113,27 +101,6 @@ class AsyncCancelChecker(Checker):
                         and call_origin(value.func, aliases) == "asyncio.shield"
                     ):
                         continue
-                    fix = None
-                    if has_asyncio and value.end_lineno is not None:
-                        fix = Fix(
-                            description="wrap the awaited expression in asyncio.shield(...)",
-                            edits=(
-                                Edit(
-                                    value.lineno,
-                                    value.col_offset,
-                                    value.lineno,
-                                    value.col_offset,
-                                    "asyncio.shield(",
-                                ),
-                                Edit(
-                                    value.end_lineno,
-                                    value.end_col_offset or 0,
-                                    value.end_lineno,
-                                    value.end_col_offset or 0,
-                                    ")",
-                                ),
-                            ),
-                        )
                     findings.append(
                         Finding(
                             path=context.rel,
@@ -145,7 +112,6 @@ class AsyncCancelChecker(Checker):
                                 "asyncio.shield — cancellation abandons the cleanup"
                             ),
                             hint="await asyncio.shield(...) so cleanup survives cancellation",
-                            fix=fix,
                         )
                     )
         return findings
@@ -168,8 +134,10 @@ class AsyncCancelChecker(Checker):
         # create_task and the join makes an exception path on which the
         # task is technically still pending, and flagging those would bury
         # the actual fire-and-forget bugs under structural noise.
+        # A function whose normal exit is unreachable (``while True:``
+        # without a break) has no return exit to report at.
         flagged: dict[tuple[str, Site], tuple[str, bool]] = {}
-        for var, claim in result.at_exit.items():
+        for var, claim in (result.at_exit or {}).items():
             for site in claim.sites:
                 flagged[(var, site)] = (claim.status, claim.definite)
         for (var, site), (status, definite) in sorted(flagged.items()):

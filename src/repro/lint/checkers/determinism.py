@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.astutil import call_origin
 from repro.lint.base import Checker, FileContext
 from repro.lint.findings import Finding
 
@@ -68,7 +69,7 @@ class DeterminismChecker(Checker):
         call: ast.Call,
         findings: list[Finding],
     ) -> None:
-        origin = _call_origin(call.func, aliases)
+        origin = call_origin(call.func, aliases)
         if origin is None:
             return
         if origin in _WALL_CLOCK:
@@ -124,14 +125,3 @@ class DeterminismChecker(Checker):
             message=f"determinism: {what}",
             hint=hint,
         )
-
-
-def _call_origin(func: ast.expr, aliases: dict[str, str]) -> str | None:
-    if isinstance(func, ast.Name):
-        return aliases.get(func.id, func.id)
-    if isinstance(func, ast.Attribute):
-        base = _call_origin(func.value, aliases)
-        if base is None:
-            return None
-        return f"{base}.{func.attr}"
-    return None

@@ -2,17 +2,16 @@
 
 An analysis supplies a join-semilattice of facts and a transfer function
 over CFG elements; :func:`run_forward` iterates a worklist to the fixpoint
-and hands back the fact flowing *into* every block.  Checkers then make a
-single deterministic reporting pass (:meth:`ForwardAnalysis.report` per
-reachable block, plus the facts at the two exits) — findings are never
-emitted from inside the fixpoint, where a transfer can run many times.
+and hands back the fact flowing *into* every block.  The checker then
+reads the fact at the normal exit once — findings are never emitted from
+inside the fixpoint, where a transfer can run many times.
 
 Exception edges are the one asymmetry: an edge of kind ``exception`` out
 of element ``E`` carries :meth:`ForwardAnalysis.exception_state`, which
 defaults to the join of the pre- and post-state — if ``E`` raised, it may
 have executed partially.  Analyses override it where the element's effect
-is atomic-on-success (``f = open(...)``: if ``open`` raised, nothing was
-bound, so only the pre-state escapes).
+is atomic-on-success (``t = asyncio.create_task(...)``: if the call
+raised, nothing was bound, so only the pre-state escapes).
 
 Facts must be immutable values with structural equality (frozensets,
 tuples of pairs); the framework never mutates them.
@@ -55,19 +54,11 @@ class DataflowResult(Generic[State]):
         self.cfg = cfg
         self.in_facts = in_facts
 
-    def fact_in(self, block_id: int) -> State | None:
-        """The fact entering ``block_id`` (None when unreachable)."""
-        return self.in_facts.get(block_id)
-
     @property
     def at_exit(self) -> State | None:
-        """The fact on normal function exit (every ``return`` joined)."""
+        """The fact on normal function exit (every ``return`` joined; None
+        when no path returns)."""
         return self.in_facts.get(self.cfg.exit)
-
-    @property
-    def at_raise_exit(self) -> State | None:
-        """The fact where an exception escapes the function."""
-        return self.in_facts.get(self.cfg.raise_exit)
 
 
 def run_forward(cfg: CFG, analysis: ForwardAnalysis[State]) -> DataflowResult[State]:

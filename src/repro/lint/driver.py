@@ -1,4 +1,4 @@
-"""The lint driver: discover, cache, parse, check, suppress, fix, report.
+"""The lint driver: discover, parse, check, suppress, report.
 
 One run:
 
@@ -6,25 +6,20 @@ One run:
    recursively, ``__pycache__``/hidden directories skipped);
 2. locate the repository root (the nearest ancestor carrying
    ``src/repro``) so findings and scopes use stable repo-relative paths;
-3. for each file, consult the incremental cache (content hash) and —
-   on a miss — parse it and run every in-scope per-file checker; a file
-   that cannot be read or parsed yields a structured :data:`PARSE_RULE`
+3. parse each file and run every in-scope per-file checker; a file that
+   cannot be read or parsed yields a structured :data:`PARSE_RULE`
    finding instead of aborting the run;
-4. run the cross-file checkers once (or replay their cached findings
-   while their recorded dependency fingerprint still matches);
+4. run the cross-file checkers once;
 5. filter findings through the inline suppression tables, collecting
    suppression-hygiene findings (reason-less / stale) along the way;
-6. under ``--fix``, apply the carried fixes bottom-up per file and
-   re-lint so the report reflects the repaired tree;
-7. render text (or ``--json``), diff against the ratchet baseline when
-   one was given, and choose the exit code.
+6. render text (or ``--json``) and choose the exit code.
 
-Exit codes: ``0`` clean, ``1`` findings (new findings, when a baseline
-is in play), ``2`` usage errors or an internal crash of the linter
-itself.  A syntax error in a *linted* file is a finding (``RL099``), not
-a crash — one broken file must never hide the findings in the rest of
-the tree.  In ``--strict`` mode suppression hygiene counts as findings —
-the mode CI runs, so a stale suppression can never linger.
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors or an
+internal crash of the linter itself.  A syntax error in a *linted* file
+is a finding (``RL099``), not a crash — one broken file must never hide
+the findings in the rest of the tree.  In ``--strict`` mode suppression
+hygiene counts as findings — the mode CI runs, so a stale suppression
+can never linger.
 """
 
 from __future__ import annotations
@@ -34,33 +29,22 @@ import ast
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.lint.base import Checker, FileContext, ProjectContext
-from repro.lint.baseline import (
-    BaselineDiff,
-    diff_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.lint.cache import LintCache, checker_fingerprint, content_hash
 from repro.lint.checkers import all_checkers
 from repro.lint.findings import Finding
-from repro.lint.fixes import FixReport, apply_fixes
 from repro.lint.suppress import META_RULE, SuppressionTable
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".ruff_cache", ".mypy_cache"}
 
 #: Rule id for files the driver could not read or parse.  These are
-#: findings like any other (exit 1, suppressible in principle, countable
-#: in a baseline) — a tree with an unparseable file is not clean, but the
-#: rest of the tree still gets linted.
+#: findings like any other (exit 1, suppressible in principle) — a tree
+#: with an unparseable file is not clean, but the rest of the tree still
+#: gets linted.
 PARSE_RULE = "RL099"
 PARSE_TITLE = "every linted file is readable, UTF-8 and syntactically valid"
-
-#: Default cache location, relative to the repository root (gitignored).
-CACHE_FILENAME = ".repro-lint-cache.json"
 
 
 @dataclass
@@ -70,9 +54,6 @@ class LintResult:
     findings: list[Finding]
     hygiene: list[Finding]
     checked_files: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    crossfile_cached: bool = False
 
     def reportable(self, strict: bool) -> list[Finding]:
         chosen = list(self.findings)
@@ -131,26 +112,19 @@ def _read_finding(rel: str, reason: str) -> Finding:
 
 
 def _dedup(findings: list[Finding]) -> list[Finding]:
-    """Drop duplicate findings (same location/rule/message), keeping fixes.
+    """Drop duplicate findings (same location/rule/message).
 
-    Flow rules can report the same source node once per finally/cleanup
-    copy it appears in; the copies carry identical payloads, so equality
-    on the compare fields is the right identity.  When one duplicate
-    carries a fix and another does not, the fixed one wins.
+    RL010 reports an ``await`` inside a nested ``finally:`` once per
+    enclosing ``finally`` body; the copies carry identical payloads, so
+    equality on the compare fields is the right identity.
     """
-    unique: dict[Finding, Finding] = {}
-    for finding in findings:
-        current = unique.get(finding)
-        if current is None or (current.fix is None and finding.fix is not None):
-            unique[finding] = finding
-    return sorted(unique.values())
+    return sorted(set(findings))
 
 
 def run_lint(
     paths: list[Path],
     checkers: list[Checker] | None = None,
     root: Path | None = None,
-    cache: LintCache | None = None,
 ) -> LintResult:
     """Lint ``paths`` with ``checkers`` (default: the shipped set)."""
     if checkers is None:
@@ -160,23 +134,8 @@ def run_lint(
         root = find_repo_root(files[0] if files else Path.cwd())
     root = root.resolve()
     project = ProjectContext(root)
-    for checker in checkers:
-        checker.start(project)
-
-    # A checker that overrides finalize() is cross-file; its per-file
-    # findings (if it also overrides check()) depend on state we cannot
-    # key by one file's hash, so only pure per-file checkers are cached.
-    crossfile = [
-        checker for checker in checkers if type(checker).finalize is not Checker.finalize
-    ]
-    cacheable = [checker for checker in checkers if checker not in crossfile]
-    crossfile_checks = [
-        checker for checker in crossfile if type(checker).check is not Checker.check
-    ]
-    per_file_cache = cache if not crossfile_checks else None
 
     raw_findings: list[Finding] = []
-    checked = 0
     linted_rels: list[str] = []
     sources: dict[str, str] = {}
     for path in files:
@@ -197,46 +156,20 @@ def run_lint(
             )
             continue
         sources[rel] = source
-        digest = content_hash(source)
-        if per_file_cache is not None:
-            cached = per_file_cache.lookup(rel, digest)
-            if cached is not None:
-                raw_findings.extend(cached)
-                checked += 1
-                linted_rels.append(rel)
-                continue
         try:
             tree = ast.parse(source)
         except SyntaxError as error:
             raw_findings.append(_parse_finding(rel, error))
             continue
-        checked += 1
         linted_rels.append(rel)
         context = FileContext(root, path, source, tree)
         project.add(context)
-        file_findings: list[Finding] = []
-        for checker in cacheable:
-            if checker.scope and checker.in_scope(rel):
-                file_findings.extend(checker.check(context))
-        for checker in crossfile_checks:
+        for checker in checkers:
             if checker.scope and checker.in_scope(rel):
                 raw_findings.extend(checker.check(context))
-        if per_file_cache is not None:
-            per_file_cache.store(rel, digest, file_findings)
-        raw_findings.extend(file_findings)
 
-    crossfile_found: list[Finding] | None = None
-    crossfile_cached = False
-    if cache is not None and not crossfile_checks:
-        crossfile_found = cache.crossfile_lookup(root)
-        crossfile_cached = crossfile_found is not None
-    if crossfile_found is None:
-        crossfile_found = []
-        for checker in checkers:
-            crossfile_found.extend(checker.finalize(project))
-        if cache is not None and not crossfile_checks:
-            cache.crossfile_store(project.file_deps, project.glob_deps, crossfile_found)
-    raw_findings.extend(crossfile_found)
+    for checker in checkers:
+        raw_findings.extend(checker.finalize(project))
     raw_findings = _dedup(raw_findings)
 
     # Suppression pass: parse each implicated file's table once, filter the
@@ -248,10 +181,7 @@ def run_lint(
         if rel not in tables:
             text = sources.get(rel)
             if text is None:
-                try:
-                    text = project.read_text(rel)
-                except (OSError, UnicodeDecodeError):
-                    text = None
+                text = project.read_text(rel)
             tables[rel] = SuppressionTable.from_source(text) if text else None
         return tables[rel]
 
@@ -270,10 +200,7 @@ def run_lint(
     return LintResult(
         findings=sorted(kept),
         hygiene=sorted(hygiene),
-        checked_files=checked,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        crossfile_cached=crossfile_cached,
+        checked_files=len(linted_rels),
     )
 
 
@@ -301,33 +228,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="emit findings as a JSON document on stdout",
     )
     parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the mechanical fixes carried by findings, then re-lint",
-    )
-    parser.add_argument(
         "--rules",
         help="comma-separated rule ids to run (default: all shipped rules)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="ratchet file: fail only on findings absent from this baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline from this run's findings and exit 0",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        type=Path,
-        help=f"cache location (default: <repo root>/{CACHE_FILENAME})",
     )
 
 
@@ -358,126 +260,32 @@ def _run(args: argparse.Namespace) -> int:
     if isinstance(checkers, str):
         print(f"repro.lint: {checkers}", file=sys.stderr)
         return 2
-    if args.update_baseline and args.baseline is None:
-        print("repro.lint: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
 
     paths = [Path(path) for path in args.paths]
     probe = next((path.resolve() for path in paths if path.exists()), Path.cwd())
-    root = find_repo_root(probe)
-
-    cache: LintCache | None = None
-    if not args.no_cache:
-        cache_path = args.cache_file or root / CACHE_FILENAME
-        fingerprint = checker_fingerprint([checker.rule for checker in checkers])
-        cache = LintCache(cache_path, fingerprint)
-
-    result = run_lint(paths, checkers, root=root, cache=cache)
-    fix_report: FixReport | None = None
-    if args.fix:
-        fixable = [
-            finding
-            for finding in result.reportable(args.strict)
-            if finding.fix is not None
-        ]
-        fix_report = apply_fixes(root, fixable)
-        if fix_report.total:
-            result = run_lint(paths, checkers, root=root, cache=cache)
-    if cache is not None:
-        cache.save()
-
+    result = run_lint(paths, checkers, root=find_repo_root(probe))
     reportable = result.reportable(args.strict)
-    if args.update_baseline:
-        assert args.baseline is not None
-        save_baseline(args.baseline, reportable)
-        print(
-            f"repro.lint: baseline updated, {len(reportable)} finding(s) "
-            f"recorded in {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    bdiff: BaselineDiff | None = None
-    if args.baseline is not None:
-        bdiff = diff_baseline(reportable, load_baseline(args.baseline))
-    failing = bdiff.new if bdiff is not None else reportable
 
     if args.as_json:
-        print(json.dumps(_json_document(args, checkers, result, reportable, bdiff, fix_report), indent=2, sort_keys=True))
+        rules = {checker.rule: checker.title for checker in checkers}
+        rules[META_RULE] = "suppressions carry reasons and silence something"
+        rules[PARSE_RULE] = PARSE_TITLE
+        document = {
+            "checked_files": result.checked_files,
+            "strict": args.strict,
+            "rules": rules,
+            "findings": [finding.to_dict() for finding in reportable],
+        }
+        print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        for finding in failing:
+        for finding in reportable:
             print(finding.render())
-        print(_summary(args, cache, result, reportable, bdiff, fix_report), file=sys.stderr)
-    return 1 if failing else 0
-
-
-def _summary(
-    args: argparse.Namespace,
-    cache: LintCache | None,
-    result: LintResult,
-    reportable: list[Finding],
-    bdiff: BaselineDiff | None,
-    fix_report: FixReport | None,
-) -> str:
-    text = (
-        f"repro.lint: {result.checked_files} files checked, "
-        f"{len(reportable)} finding(s)"
-    )
-    if bdiff is not None:
-        text += (
-            f" ({len(bdiff.new)} new, {len(bdiff.known)} baselined, "
-            f"{len(bdiff.resolved)} resolved)"
+        print(
+            f"repro.lint: {result.checked_files} files checked, "
+            f"{len(reportable)} finding(s)",
+            file=sys.stderr,
         )
-    if fix_report is not None:
-        text += (
-            f"; fixed {fix_report.total} finding(s) "
-            f"in {len(fix_report.applied)} file(s)"
-        )
-    if cache is not None:
-        text += (
-            f"; cache {result.cache_hits} hit / {result.cache_misses} miss"
-            + (" + crossfile hit" if result.crossfile_cached else "")
-        )
-    return text
-
-
-def _json_document(
-    args: argparse.Namespace,
-    checkers: list[Checker],
-    result: LintResult,
-    reportable: list[Finding],
-    bdiff: BaselineDiff | None,
-    fix_report: FixReport | None,
-) -> dict[str, object]:
-    rules = {checker.rule: checker.title for checker in checkers}
-    rules[META_RULE] = "suppressions carry reasons and silence something"
-    rules[PARSE_RULE] = PARSE_TITLE
-    document: dict[str, object] = {
-        "checked_files": result.checked_files,
-        "strict": args.strict,
-        "rules": rules,
-        "findings": [finding.to_dict() for finding in reportable],
-        "cache": {
-            "enabled": not args.no_cache,
-            "hits": result.cache_hits,
-            "misses": result.cache_misses,
-            "crossfile_hit": result.crossfile_cached,
-        },
-    }
-    if bdiff is not None:
-        document["baseline"] = {
-            "path": str(args.baseline),
-            "new": [finding.to_dict() for finding in bdiff.new],
-            "known": [finding.to_dict() for finding in bdiff.known],
-            "resolved": bdiff.resolved,
-        }
-    if fix_report is not None:
-        document["fixes"] = {
-            "total": fix_report.total,
-            "files": dict(sorted(fix_report.applied.items())),
-            "skipped": len(fix_report.skipped),
-        }
-    return document
+    return 1 if reportable else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,59 +5,11 @@ each, carrying the rule id, the ``file:line:col`` anchor, a one-line
 message and a *fix hint* (what a developer should actually do about it).
 Findings are plain data: the driver sorts, filters (suppressions) and
 renders them as text or JSON without checkers knowing about output.
-
-A finding may additionally carry a :class:`Fix` — a set of span-based
-source edits that mechanically repair the violation.  ``--fix`` applies
-them bottom-up per file (later edits first, so earlier spans stay valid);
-a finding without a fix is report-only.  Fixes round-trip through the
-JSON form so the incremental cache can serve them warm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Edit:
-    """Replace one source span with ``text`` (pure insertion when empty).
-
-    ``line``/``end_line`` are 1-based, ``col``/``end_col`` 0-based — the
-    :mod:`ast` location convention — and the span end is exclusive.
-    """
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    text: str
-
-    def to_list(self) -> list[object]:
-        return [self.line, self.col, self.end_line, self.end_col, self.text]
-
-    @classmethod
-    def from_list(cls, raw: list[object]) -> Edit:
-        line, col, end_line, end_col, text = raw
-        return cls(int(line), int(col), int(end_line), int(end_col), str(text))  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical repair: what it does, and the edits that do it."""
-
-    description: str
-    edits: tuple[Edit, ...]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "description": self.description,
-            "edits": [edit.to_list() for edit in self.edits],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, object]) -> Fix:
-        edits = tuple(Edit.from_list(item) for item in raw["edits"])  # type: ignore[union-attr]
-        return cls(description=str(raw["description"]), edits=edits)
 
 
 @dataclass(frozen=True, order=True)
@@ -70,15 +22,13 @@ class Finding:
     line: int
     #: 0-based column of the violation.
     col: int
-    #: Rule id (``RL001`` .. ``RL010``; ``RL000`` for suppression hygiene,
-    #: ``RL099`` for files the driver could not read or parse).
+    #: Rule id (``RL001`` .. ``RL006``, ``RL010``; ``RL000`` for suppression
+    #: hygiene, ``RL099`` for files the driver could not read or parse).
     rule: str
     #: One-line statement of the violated invariant.
     message: str
     #: What to do about it (shown after the message, serialised in JSON).
     hint: str = field(default="", compare=False)
-    #: Mechanical repair applied by ``--fix`` (None: report-only).
-    fix: Fix | None = field(default=None, compare=False)
 
     def render(self) -> str:
         """The canonical one-line text rendering."""
@@ -86,13 +36,11 @@ class Finding:
         text = f"{location}: {self.rule} {self.message}"
         if self.hint:
             text += f" [hint: {self.hint}]"
-        if self.fix is not None:
-            text += " [fixable]"
         return text
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (the ``--json`` findings artifact)."""
-        document: dict[str, object] = {
+        """JSON-ready form (the ``--json`` findings document)."""
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -100,20 +48,3 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-        if self.fix is not None:
-            document["fix"] = self.fix.to_dict()
-        return document
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, object]) -> Finding:
-        """Rebuild a finding from :meth:`to_dict` (the cache's wire form)."""
-        fix = raw.get("fix")
-        return cls(
-            path=str(raw["path"]),
-            line=int(raw["line"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            rule=str(raw["rule"]),
-            message=str(raw["message"]),
-            hint=str(raw.get("hint", "")),
-            fix=Fix.from_dict(fix) if isinstance(fix, dict) else None,
-        )

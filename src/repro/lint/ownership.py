@@ -1,17 +1,16 @@
 """Ownership dataflow: a local acquires something that must be disposed.
 
-Two shipped rules are instances of the same lattice — RL007 tracks OS
-resources (files, sockets, shared-memory segments) that must be closed,
-RL010 tracks asyncio tasks that must be awaited or cancelled.  Both boil
-down to: a *local variable* acquires ownership at some site, ownership is
-discharged by a release call / a ``with`` exit / an escape (the value is
-returned, stored, or handed to another callee), and a path on which the
-variable still owns the thing at a function exit is a finding.
+RL010 tracks asyncio tasks that must be awaited or cancelled: a *local
+variable* acquires ownership at some site (``task = asyncio.create_task(
+...)``), ownership is discharged by a release call, an ``await`` of the
+value, or an escape (the value is returned, stored, or handed to another
+callee), and a path on which the variable still owns the thing at a
+function exit is a finding.
 
 The fact is a map ``variable -> Claim``; :class:`Claim` remembers the
 acquire site(s), whether ownership holds on *every* path reaching here
-(``definite``) or only some, and a rule-specific ``status`` ("held",
-"pending", "cancelled", ...).
+(``definite``) or only some, and a rule-specific ``status`` ("pending",
+"cancelled", ...).
 
 Escape analysis is deliberately generous: any use of the owned name as a
 call argument, in a ``return``/``yield`` value, or on the right of an
@@ -26,7 +25,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, replace
 
-from repro.lint.astutil import call_origin, walk_expressions
+from repro.lint.astutil import walk_expressions
 from repro.lint.cfg import Marker
 from repro.lint.dataflow import ForwardAnalysis
 
@@ -39,8 +38,8 @@ class Claim:
     """Ownership of one value by one local variable."""
 
     sites: frozenset[Site]
+    status: str
     definite: bool = True
-    status: str = "held"
 
 
 State = dict[str, Claim]
@@ -51,9 +50,9 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
 
     #: ``status`` values ordered most-severe-first; joins of unequal
     #: statuses keep the more severe one.
-    status_order: tuple[str, ...] = ("held",)
+    status_order: tuple[str, ...]
     #: Status a fresh claim starts in.
-    acquire_status: str = "held"
+    acquire_status: str
 
     def __init__(self, aliases: dict[str, str]) -> None:
         self.aliases = aliases
@@ -99,7 +98,13 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
 
     def transfer(self, element: ast.stmt | Marker, state: State) -> State:
         if isinstance(element, Marker):
-            return self._transfer_marker(element, state)
+            if element.kind in {"test", "loop_iter"}:
+                return self._scan_uses(element.node, state)
+            if element.kind == "with_enter":
+                item = element.node
+                assert isinstance(item, ast.withitem)
+                return self._scan_uses(item.context_expr, state)
+            return state
         state = self._scan_uses(element, state)
         if isinstance(element, ast.Delete):
             state = {
@@ -114,52 +119,13 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
     def exception_state(self, element: ast.stmt | Marker, pre: State, post: State) -> State:
         # Binding an acquired value is atomic-on-success: if the acquiring
         # call raised, nothing was bound, so only the pre-state escapes.
-        # If the element *released* claims (close() raised after closing,
-        # an escape call raised after taking ownership), the discharged
-        # state escapes — never resurrect a claim on the exception edge.
+        # If the element *released* claims (cancel() raised after
+        # cancelling, an escape call raised after taking ownership), the
+        # discharged state escapes — never resurrect a claim on the
+        # exception edge.
         if set(post) <= set(pre):
             return post
         return pre
-
-    def _transfer_marker(self, marker: Marker, state: State) -> State:
-        if marker.kind == "with_enter":
-            item = marker.node
-            assert isinstance(item, ast.withitem)
-            state = self._scan_uses(item.context_expr, state)
-            if isinstance(item.context_expr, ast.Call) and isinstance(
-                item.optional_vars, ast.Name
-            ):
-                what = self.acquire(item.context_expr)
-                if what is not None:
-                    state = dict(state)
-                    state[item.optional_vars.id] = Claim(
-                        sites=frozenset({self._site(item.context_expr, what)}),
-                        status=self.acquire_status,
-                    )
-            return state
-        if marker.kind == "with_exit":
-            item = marker.node
-            assert isinstance(item, ast.withitem)
-            return self._release_with_item(item, state)
-        if marker.kind in {"test", "loop_iter"}:
-            return self._scan_uses(marker.node, state)
-        return state
-
-    def _release_with_item(self, item: ast.withitem, state: State) -> State:
-        """Leaving ``with <expr> as <name>`` disposes whatever it guards."""
-        released: set[str] = set()
-        if isinstance(item.optional_vars, ast.Name):
-            released.add(item.optional_vars.id)
-        expr = item.context_expr
-        if isinstance(expr, ast.Name):
-            released.add(expr.id)  # ``with f:`` closes f on exit
-        if isinstance(expr, ast.Call):  # ``with closing(f):`` and kin
-            for arg in expr.args:
-                if isinstance(arg, ast.Name):
-                    released.add(arg.id)
-        if not released & state.keys():
-            return state
-        return {var: claim for var, claim in state.items() if var not in released}
 
     def _transfer_assign(self, stmt: ast.Assign | ast.AnnAssign, state: State) -> State:
         value = stmt.value
@@ -174,7 +140,8 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
             what = self.acquire(value)
             if what is not None:
                 claim = Claim(
-                    sites=frozenset({self._site(value, what)}), status=self.acquire_status
+                    sites=frozenset({(value.lineno, value.col_offset, what)}),
+                    status=self.acquire_status,
                 )
                 for name in names:
                     state[name] = claim
@@ -187,7 +154,7 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
         return state
 
     def _scan_uses(self, element: ast.AST, state: State) -> State:
-        """Releases, status changes and escapes anywhere in ``element``."""
+        """Releases, status changes, joins and escapes anywhere in ``element``."""
         if not state:
             return state
         discharged: set[str] = set()
@@ -208,14 +175,19 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
                     continue
                 # Any owned name handed to a callee escapes.
                 for sub in node.args + [kw.value for kw in node.keywords]:
-                    for name in _names_in(sub):
-                        if name in state:
-                            discharged.add(name)
+                    discharged |= _names_in(sub) & state.keys()
             elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
                 if node.value is not None:
                     discharged |= _names_in(node.value) & state.keys()
             elif isinstance(node, ast.Await):
-                discharged, restatus = self._scan_await(node, state, discharged, restatus)
+                # ``await t`` / ``await asyncio.gather(t, ...)`` joins it.
+                value = node.value
+                if isinstance(value, ast.Name) and value.id in state:
+                    discharged.add(value.id)
+                elif isinstance(value, ast.Call):
+                    for sub in walk_expressions(value):
+                        if isinstance(sub, ast.Name) and sub.id in state:
+                            discharged.add(sub.id)
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
                 discharged |= self._escaping_stores(node, state)
         if not discharged and not restatus:
@@ -228,16 +200,6 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
                 claim = replace(claim, status=restatus[var])
             new_state[var] = claim
         return new_state
-
-    def _scan_await(
-        self,
-        node: ast.Await,
-        state: State,
-        discharged: set[str],
-        restatus: dict[str, str],
-    ) -> tuple[set[str], dict[str, str]]:
-        """Hook: RL010 treats ``await t`` as joining the claim."""
-        return discharged, restatus
 
     def _escaping_stores(
         self, node: ast.Assign | ast.AnnAssign | ast.NamedExpr, state: State
@@ -255,14 +217,6 @@ class OwnershipAnalysis(ForwardAnalysis[State]):
         ):
             return set()  # plain rebinding/move: _transfer_assign owns it
         return _names_in(node.value) & state.keys()
-
-    def _site(self, node: ast.expr, what: str) -> Site:
-        return (node.lineno, node.col_offset, what)
-
-    # -- shared acquire helpers --------------------------------------------
-
-    def origin_of(self, call: ast.Call) -> str | None:
-        return call_origin(call.func, self.aliases)
 
 
 def _names_in(node: ast.AST) -> set[str]:

@@ -8,14 +8,6 @@ rule changed, the line moved) is stale and reported as :data:`META_RULE`,
 as is one missing its reason.  The suppression mechanism can therefore
 never rot into a pile of dead annotations.
 
-Stale suppressions additionally carry an **autofix**: ``--fix`` deletes
-the dead item — the whole comment (and its line, when the comment stands
-alone) if every item in it is stale, otherwise a rewrite keeping the
-still-live items.  One comment yields exactly one edit, attached to the
-first stale finding, so multiple stale items can never produce
-overlapping edits.  Reason-less suppressions have no fix: nobody can
-invent the missing reason mechanically.
-
 Grammar (one comment, any number of rules)::
 
     # repro-lint: disable=RL003(cache-miss fill is bounded by misses)
@@ -31,7 +23,7 @@ import tokenize
 from dataclasses import dataclass, field
 from io import StringIO
 
-from repro.lint.findings import Edit, Finding, Fix
+from repro.lint.findings import Finding
 
 #: Rule id for suppression-hygiene findings (stale / reason-less).
 META_RULE = "RL000"
@@ -52,40 +44,13 @@ class Suppression:
     used: bool = field(default=False, compare=False)
 
 
-@dataclass
-class _Comment:
-    """One ``# repro-lint:`` comment and the span needed to rewrite it."""
-
-    line: int
-    #: Column of the ``#`` (0-based).
-    col: int
-    #: Column just past the comment's last character.
-    end_col: int
-    #: Column where the whitespace run preceding the comment starts —
-    #: deleting from here removes the trailing blanks too.
-    ws_col: int
-    #: True when nothing but whitespace precedes the comment (own line).
-    standalone: bool
-    items: list[Suppression] = field(default_factory=list)
-
-
-def _render_items(items: list[Suppression]) -> str:
-    parts = []
-    for item in items:
-        parts.append(f"{item.rule}({item.reason})" if item.reason else item.rule)
-    return "# repro-lint: disable=" + ",".join(parts)
-
-
 class SuppressionTable:
     """Every suppression in one file, indexed by (line, rule)."""
 
-    def __init__(self, comments: list[_Comment], total_lines: int = 0) -> None:
-        self._comments = comments
-        self._total_lines = total_lines
+    def __init__(self, items: list[Suppression]) -> None:
+        self._items = items
         self._by_line_rule: dict[tuple[int, str], Suppression] = {
-            (item.line, item.rule): item
-            for comment in comments
-            for item in comment.items
+            (item.line, item.rule): item for item in items
         }
 
     @classmethod
@@ -96,27 +61,17 @@ class SuppressionTable:
         lines), so a ``# repro-lint:`` sequence inside a string literal is
         never mistaken for a suppression.
         """
-        comments: list[_Comment] = []
+        items: list[Suppression] = []
         try:
-            tokens = tokenize.generate_tokens(StringIO(source).readline)
-            for token in tokens:
+            for token in tokenize.generate_tokens(StringIO(source).readline):
                 if token.type != tokenize.COMMENT:
                     continue
                 match = _COMMENT_RE.search(token.string)
                 if match is None:
                     continue
                 line, col = token.start
-                before = token.line[:col]
-                ws_col = len(before.rstrip(" \t"))
-                comment = _Comment(
-                    line=line,
-                    col=col,
-                    end_col=token.end[1],
-                    ws_col=ws_col,
-                    standalone=not before.strip(),
-                )
                 for item in _ITEM_RE.finditer(match.group("items")):
-                    comment.items.append(
+                    items.append(
                         Suppression(
                             rule=item.group("rule"),
                             reason=(item.group("reason") or "").strip(),
@@ -124,13 +79,15 @@ class SuppressionTable:
                             col=col,
                         )
                     )
-                if comment.items:
-                    comments.append(comment)
-        except tokenize.TokenError:
-            # Unparseable tail (the AST pass already reported the syntax
-            # error); whatever was tokenised before the failure still counts.
+        except (tokenize.TokenError, SyntaxError):
+            # A file tokenize cannot finish: an unterminated construct
+            # (TokenError) or a dedent to no enclosing level
+            # (IndentationError) — a broken .py file the AST pass already
+            # reported, or a non-Python file a cross-file finding points
+            # at, such as the docs catalog.  The comments tokenised before
+            # the failure still count.
             pass
-        return cls(comments, total_lines=source.count("\n") + 1)
+        return cls(items)
 
     def match(self, finding: Finding) -> Suppression | None:
         """The suppression covering ``finding``, if any (marks it used)."""
@@ -140,62 +97,33 @@ class SuppressionTable:
             return suppression
         return None
 
-    def _deletion_fix(self, comment: _Comment) -> Fix:
-        """The single edit repairing one comment's stale items."""
-        survivors = [
-            item for item in comment.items if not (item.reason and not item.used)
-        ]
-        if survivors:
-            edit = Edit(
-                comment.line,
-                comment.col,
-                comment.line,
-                comment.end_col,
-                _render_items(survivors),
-            )
-            return Fix(description="drop the stale suppression item", edits=(edit,))
-        if comment.standalone and comment.line < self._total_lines:
-            # The comment owns its line: delete the line outright.
-            edit = Edit(comment.line, 0, comment.line + 1, 0, "")
-        else:
-            edit = Edit(comment.line, comment.ws_col, comment.line, comment.end_col, "")
-        return Fix(description="delete the stale suppression comment", edits=(edit,))
-
     def hygiene_findings(self, path: str) -> list[Finding]:
         """Meta findings: reason-less and stale (unused) suppressions."""
         findings = []
-        for comment in sorted(self._comments, key=lambda c: (c.line, c.col)):
-            fix: Fix | None = None
-            if any(item.reason and not item.used for item in comment.items):
-                fix = self._deletion_fix(comment)
-            for item in comment.items:
-                if not item.reason:
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=item.line,
-                            col=item.col,
-                            rule=META_RULE,
-                            message=f"suppression of {item.rule} carries no reason",
-                            hint=(
-                                f"write `# repro-lint: disable={item.rule}"
-                                "(why the invariant does not apply)`"
-                            ),
-                        )
+        for item in self._items:
+            if not item.reason:
+                findings.append(
+                    Finding(
+                        path=path,
+                        line=item.line,
+                        col=item.col,
+                        rule=META_RULE,
+                        message=f"suppression of {item.rule} carries no reason",
+                        hint=(
+                            f"write `# repro-lint: disable={item.rule}"
+                            "(why the invariant does not apply)`"
+                        ),
                     )
-                elif not item.used:
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=item.line,
-                            col=item.col,
-                            rule=META_RULE,
-                            message=f"suppression of {item.rule} silences nothing (stale)",
-                            hint="the violation is gone or moved; delete the comment",
-                            fix=fix,
-                        )
+                )
+            elif not item.used:
+                findings.append(
+                    Finding(
+                        path=path,
+                        line=item.line,
+                        col=item.col,
+                        rule=META_RULE,
+                        message=f"suppression of {item.rule} silences nothing (stale)",
+                        hint="the violation is gone or moved; delete the comment",
                     )
-                    # One edit per comment: only the first stale item
-                    # carries it, the rest are report-only duplicates.
-                    fix = None
+                )
         return sorted(findings)

@@ -13,27 +13,65 @@ harness materialises it inside a throwaway repo root so scope patterns
 (``src/repro/monitor/*.py`` ...) match exactly as they do in this
 repository.  Cross-file rules (RL004/RL006) use fixture *directories*.
 
+:data:`EXPECTED` pins the exact strict-mode count per rule of every
+fixture, and the table and the corpus must match one-to-one.
+
 On top of the corpus: driver behaviour (exit codes, ``--json``,
-``--rules``, strict hygiene, resilience to unreadable files), the
-flow-sensitive rules' path-dependence, the ``--fix`` round-trip property,
-the incremental cache, the ratchet baseline, CLI parity and the
-meta-assertion that the fixture corpus itself is complete for every
-shipped rule.
+``--rules``, strict hygiene, resilience to unreadable and unparseable
+files), RL010's path-dependence, CLI parity and the meta-assertion that
+the fixture corpus itself is complete for every shipped rule.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.lint import META_RULE, PARSE_RULE, all_checkers, main, run_lint
+from repro.lint import (
+    META_RULE,
+    PARSE_RULE,
+    add_lint_arguments,
+    all_checkers,
+    main,
+    run_lint,
+)
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = sorted(checker.rule for checker in all_checkers())
+
+#: case -> exact per-rule finding counts in strict mode (empty: silent).
+EXPECTED: dict[str, dict[str, int]] = {
+    "rl000_clean.py": {},
+    "rl000_firing.py": {"RL000": 2},
+    "rl001_clean.py": {},
+    "rl001_firing.py": {"RL001": 1},
+    "rl001_suppressed.py": {},
+    "rl002_clean.py": {},
+    "rl002_firing.py": {"RL002": 3},
+    "rl002_suppressed.py": {},
+    "rl003_clean.py": {},
+    "rl003_firing.py": {"RL003": 2},
+    "rl003_firing_marked.py": {"RL003": 2},
+    "rl003_suppressed.py": {},
+    "rl004_clean": {},
+    "rl004_firing": {"RL004": 4},
+    "rl004_suppressed": {},
+    "rl005_clean.py": {},
+    "rl005_firing.py": {"RL005": 4},
+    "rl005_suppressed.py": {},
+    "rl006_clean": {},
+    "rl006_firing": {"RL006": 1},
+    "rl006_suppressed": {},
+    "rl010_clean.py": {},
+    "rl010_firing.py": {"RL010": 2},
+    "rl010_suppressed.py": {},
+}
 
 
 def _deploy(case: str, tmp_path: Path) -> Path:
@@ -65,6 +103,18 @@ def _cases(rule: str, kind: str) -> list[str]:
 
 
 class TestFixtureCorpus:
+    def test_expected_table_matches_the_fixtures_one_to_one(self):
+        cases = {path.name for path in FIXTURES.iterdir() if path.name != "__pycache__"}
+        assert sorted(cases - set(EXPECTED)) == [], "fixtures without an EXPECTED entry"
+        assert sorted(set(EXPECTED) - cases) == [], "EXPECTED entries without a fixture"
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    def test_fixture_counts_are_exact(self, case, tmp_path):
+        # A checker that silently stops firing, or starts over-firing,
+        # fails here with the per-rule diff.
+        findings = _lint(_deploy(case, tmp_path))
+        assert dict(Counter(finding.rule for finding in findings)) == EXPECTED[case]
+
     def test_every_rule_has_firing_clean_and_suppressed_fixtures(self):
         for rule in RULES:
             assert _cases(rule, "firing"), f"no firing fixture for {rule}"
@@ -146,17 +196,55 @@ class TestDriver:
     def test_syntax_errors_are_findings_not_aborts(self, tmp_path, capsys):
         # One broken file must never hide the findings in the rest of the
         # tree: it yields a structured RL099 finding and the run goes on.
+        # The dedent error is one tokenize rejects too (IndentationError),
+        # so the suppression pass must survive it as well.
         root = _deploy("rl001_firing.py", tmp_path)
         (root / "src" / "repro" / "broken.py").write_text("def oops(:\n")
-        assert main([str(root), "--no-cache"]) == 1
+        (root / "src" / "repro" / "dedent.py").write_text(
+            "def f():\n        x = 1\n    return x\n"
+        )
+        assert main([str(root)]) == 1
         out = capsys.readouterr().out
-        assert PARSE_RULE in out and "syntax error" in out
+        assert f"src/repro/broken.py:1:9: {PARSE_RULE} syntax error" in out
+        dedent = [line for line in out.splitlines() if line.startswith("src/repro/dedent.py:3:")]
+        assert len(dedent) == 1 and f"{PARSE_RULE} syntax error: unindent" in dedent[0]
         assert "RL001" in out  # the healthy file was still linted
+
+    def test_rl006_finding_in_an_untokenizable_doc_is_reported(self, tmp_path, capsys):
+        # The suppression pass tokenizes every file a finding names; a
+        # markdown catalog whose diagram dedents to no enclosing level
+        # (four spaces, then two) must still yield its RL006 finding.
+        root = tmp_path / "repo"
+        obs = root / "src" / "repro" / "obs"
+        obs.mkdir(parents=True)
+        (obs / "example.py").write_text(
+            'def counter(name):\n    return name\n\n\nREQUESTS = counter("service.requests")\n'
+        )
+        docs = root / "docs"
+        docs.mkdir()
+        (docs / "architecture.md").write_text(
+            "# Architecture\n"
+            "\n"
+            "    ingest --> window\n"
+            "    window --> service\n"
+            "  (two-space caption)\n"
+            "\n"
+            "| Metric | Type | Meaning |\n"
+            "| --- | --- | --- |\n"
+            "| `service.phantom` | counter | documented but never registered |\n"
+            "| `service.requests` | counter | requests served |\n"
+        )
+        assert main([str(root)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "docs/architecture.md:9:1: RL006 documented metric 'service.phantom' "
+            "is never registered" in out
+        )
 
     def test_non_utf8_files_are_findings_not_aborts(self, tmp_path, capsys):
         root = _deploy("rl001_clean.py", tmp_path)
         (root / "src" / "repro" / "binary.py").write_bytes(b"data = '\xff\xfe'\n")
-        assert main([str(root), "--no-cache"]) == 1
+        assert main([str(root)]) == 1
         out = capsys.readouterr().out
         assert PARSE_RULE in out and "not valid UTF-8" in out
 
@@ -189,14 +277,11 @@ class TestDriver:
         assert main([str(tmp_path), "--rules", "RL999"]) == 2
         assert "unknown rule ids" in capsys.readouterr().err
 
-    def test_update_baseline_requires_baseline(self, tmp_path, capsys):
-        assert main([str(tmp_path), "--update-baseline"]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
     def test_rule_ids_are_unique_and_titled(self):
         checkers = all_checkers()
         rules = [checker.rule for checker in checkers]
-        assert len(set(rules)) == len(rules) >= 6
+        assert len(set(rules)) == len(rules)
+        assert rules == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL010"]
         assert all(checker.title for checker in checkers)
 
 
@@ -210,41 +295,14 @@ class TestRepositoryIsClean:
         assert result.parse_errors == []
         assert reportable == [], "\n".join(f.render() for f in reportable)
 
-    def test_checked_in_baseline_is_empty(self):
-        # The ratchet starts from zero: the baseline exists (CI diffs
-        # against it) but records no lingering findings.
-        from repro.lint import load_baseline
-
-        repo = Path(__file__).resolve().parents[1]
-        baseline = repo / "lint-baseline.json"
-        assert baseline.is_file()
-        assert load_baseline(baseline) == {}
-
 
 class TestFlowSensitiveRules:
-    """The CFG/dataflow core sees paths, not patterns — one assertion per
-    rule that a syntactic checker could not make."""
+    """The CFG/dataflow core sees paths, not patterns — assertions that a
+    syntactic checker could not make."""
 
     def _messages(self, case: str, tmp_path: Path) -> list[str]:
         root = _deploy(case, tmp_path)
         return [finding.message for finding in _lint(root)]
-
-    def test_rl007_reports_the_unreleased_paths(self, tmp_path):
-        messages = self._messages("rl007_firing.py", tmp_path)
-        # Both handles ARE closed somewhere; only path-sensitivity can tell
-        # that the except arm / the slow branch still leaks them.
-        assert sum("is not released on every path" in m for m in messages) == 2
-
-    def test_rl008_reports_the_skipped_release_and_the_held_await(self, tmp_path):
-        messages = self._messages("rl008_firing.py", tmp_path)
-        assert any("is not released on every path" in m for m in messages)
-        assert any("awaits while holding sync lock `self._lock`" in m for m in messages)
-
-    def test_rl009_reports_path_dependent_dtype_drift(self, tmp_path):
-        messages = self._messages("rl009_firing.py", tmp_path)
-        assert any("depends on the path taken" in m for m in messages)
-        assert any("dtype int64" in m for m in messages)
-        assert any("every reaching definition" in m for m in messages)
 
     def test_rl010_reports_the_join_skipped_by_the_early_return(self, tmp_path):
         messages = self._messages("rl010_firing.py", tmp_path)
@@ -297,38 +355,54 @@ async def zoo(items, flag):
         cfg = build_cfg(functions[0])
         assert cfg.entry is not None and cfg.exit is not None
 
-    def test_dedup_keeps_one_finding_per_site(self, tmp_path):
-        # A finally body is duplicated per continuation in the CFG (normal
-        # and exceptional); an offending statement inside one must still be
-        # reported exactly once.
+    def test_unreachable_return_exit_is_not_a_crash(self, tmp_path, capsys):
+        # No path reaches the normal exit, so there is no fact to report
+        # at; the run must stay a clean exit 0, not an internal error.
         root = tmp_path / "repo"
-        target = root / "src" / "repro" / "runtime" / "example.py"
+        target = root / "src" / "repro" / "service" / "example.py"
         target.parent.mkdir(parents=True)
         target.write_text(
             "import asyncio\n"
-            "import threading\n"
             "\n"
             "\n"
-            "class Worker:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.count = 0\n"
-            "\n"
-            "    async def flush(self):\n"
-            "        self._lock.acquire()\n"
-            "        try:\n"
-            "            self.count += 1\n"
-            "        finally:\n"
-            "            await asyncio.sleep(0)\n"
-            "            self._lock.release()\n",
+            "async def run_forever(work):\n"
+            "    task = asyncio.create_task(work())\n"
+            "    while True:\n"
+            "        await asyncio.sleep(1)\n",
             encoding="utf-8",
         )
+        assert main([str(root), "--strict"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().err
+
+    def test_dedup_keeps_one_finding_per_site(self, tmp_path):
+        # RL010 reports an await in a nested finally once per enclosing
+        # finally body; the driver must report each site exactly once.
+        from repro.lint import FileContext
+        from repro.lint.checkers.async_cancel import AsyncCancelChecker
+
+        root = tmp_path / "repo"
+        target = root / "src" / "repro" / "service" / "example.py"
+        target.parent.mkdir(parents=True)
+        source = (
+            "import asyncio\n"
+            "\n"
+            "\n"
+            "async def close(writer):\n"
+            "    try:\n"
+            "        writer.write(b'bye')\n"
+            "    finally:\n"
+            "        try:\n"
+            "            await writer.drain()\n"
+            "        finally:\n"
+            "            await writer.wait_closed()\n"
+        )
+        target.write_text(source, encoding="utf-8")
+        raw = AsyncCancelChecker().check(
+            FileContext(root, target, source, ast.parse(source))
+        )
+        assert sorted(finding.line for finding in raw) == [9, 11, 11]
         findings = _lint(root)
-        held_awaits = [
-            f for f in findings
-            if f.rule == "RL008" and "awaits while holding" in f.message
-        ]
-        assert len(held_awaits) == 1
+        assert [(f.rule, f.line) for f in findings] == [("RL010", 9), ("RL010", 11)]
 
 
 class TestSuppressionEdgeCases:
@@ -340,14 +414,23 @@ class TestSuppressionEdgeCases:
         return root
 
     def test_two_rules_suppressed_on_one_line(self, tmp_path):
-        # `open` in an async service handler fires RL002 (blocking) AND
-        # RL007 (leak) on the same line; one comment silences both.
+        # `open` awaited inside `finally:` in an async service handler
+        # fires RL002 (blocking) AND RL010 (unshielded cleanup await) on
+        # the same line; one comment silences both.
+        line = "        await asyncio.wait_for(open(path).close(), 1)"
+        body = (
+            "import asyncio\n\n\n"
+            "async def warm(path, writer):\n"
+            "    try:\n"
+            "        writer.write(b'hello')\n"
+            "    finally:\n"
+        )
+        root = self._deploy_service(tmp_path / "bare", body + line + "\n")
+        assert {(f.rule, f.line) for f in _lint(root)} == {("RL002", 8), ("RL010", 8)}
         root = self._deploy_service(
-            tmp_path,
-            "async def warm(path):\n"
-            "    handle = open(path)  # repro-lint: disable=RL002(startup only),"
-            "RL007(closed by shutdown hook)\n"
-            "    handle.readline()\n",
+            tmp_path / "suppressed",
+            body + line + "  # repro-lint: disable=RL002(startup only),"
+            "RL010(shutdown path: nothing left to cancel)\n",
         )
         assert _lint(root, strict=True) == []
 
@@ -376,149 +459,6 @@ class TestSuppressionEdgeCases:
         assert "RL005" in strict[0].message and "silences nothing" in strict[0].message
 
 
-class TestAutofix:
-    def test_time_sleep_fix_round_trips(self, tmp_path, capsys):
-        root = tmp_path / "repo"
-        target = root / "src" / "repro" / "service" / "example.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(
-            "import asyncio\nimport time\n\n\n"
-            "async def pause():\n"
-            "    time.sleep(0.5)\n",
-            encoding="utf-8",
-        )
-        assert main([str(root), "--no-cache"]) == 1
-        assert "[fixable]" in capsys.readouterr().out
-        assert main([str(root), "--no-cache", "--fix"]) == 0
-        assert "await asyncio.sleep(0.5)" in target.read_text(encoding="utf-8")
-
-    def test_shield_fix_round_trips(self, tmp_path, capsys):
-        root = _deploy("rl010_firing.py", tmp_path)
-        target = root / "src" / "repro" / "runtime" / "example.py"
-        # The unjoined task has no mechanical fix; the unshielded await does.
-        assert main([str(root), "--no-cache", "--fix", "--json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["fixes"]["total"] == 1
-        text = target.read_text(encoding="utf-8")
-        assert "await asyncio.shield(writer.wait_closed())" in text
-        ast.parse(text)  # the rewrite is still valid Python
-
-    def test_stale_suppression_fix_deletes_the_comment(self, tmp_path):
-        root = _deploy("rl001_clean.py", tmp_path)
-        target = root / "src" / "repro" / "monitor" / "example.py"
-        text = target.read_text(encoding="utf-8")
-        target.write_text(
-            text + "\n# repro-lint: disable=RL001(long gone)\n", encoding="utf-8"
-        )
-        assert main([str(root), "--no-cache", "--strict", "--fix"]) == 0
-        assert "repro-lint" not in target.read_text(encoding="utf-8")
-
-    def test_partial_stale_rewrite_keeps_the_live_item(self, tmp_path):
-        root = _deploy("rl002_suppressed.py", tmp_path)
-        files = list((root / "src").rglob("*.py"))
-        assert len(files) == 1
-        target = files[0]
-        text = target.read_text(encoding="utf-8")
-        assert "disable=RL002(" in text
-        # Graft a stale item onto the live comment.
-        stale = text.replace("# repro-lint: disable=RL002(",
-                             "# repro-lint: disable=RL005(never fired),RL002(", 1)
-        target.write_text(stale, encoding="utf-8")
-        assert main([str(root), "--no-cache", "--strict", "--fix"]) == 0
-        fixed = target.read_text(encoding="utf-8")
-        assert "RL005" not in fixed and "disable=RL002(" in fixed
-
-    @pytest.mark.parametrize(
-        "case", sorted(path.name for path in FIXTURES.glob("*_firing*"))
-    )
-    def test_fix_leaves_zero_fixable_findings(self, case, tmp_path):
-        # The round-trip property: after --fix, a re-lint of the tree may
-        # still report findings, but none of them may carry a fix.
-        root = _deploy(case, tmp_path)
-        main([str(root), "--no-cache", "--strict", "--fix"])
-        for finding in _lint(root, strict=True):
-            assert finding.fix is None, finding.render()
-        for file in (root / "src").rglob("*.py"):
-            ast.parse(file.read_text(encoding="utf-8"))
-
-
-class TestIncrementalCache:
-    def test_warm_run_replays_identical_findings(self, tmp_path, capsys):
-        root = _deploy("rl001_firing.py", tmp_path)
-        assert main([str(root), "--json"]) == 1
-        cold = json.loads(capsys.readouterr().out)
-        assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] == 1
-        assert (root / ".repro-lint-cache.json").is_file()
-        assert main([str(root), "--json"]) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["findings"] == cold["findings"]
-        assert warm["cache"]["hits"] == 1 and warm["cache"]["misses"] == 0
-        assert warm["cache"]["crossfile_hit"]
-
-    def test_editing_a_file_invalidates_only_it(self, tmp_path, capsys):
-        root = _deploy("rl001_firing.py", tmp_path)
-        second = root / "src" / "repro" / "monitor" / "other.py"
-        second.write_text("VALUE = 1\n", encoding="utf-8")
-        main([str(root), "--json"])
-        capsys.readouterr()
-        second.write_text("VALUE = 2\n", encoding="utf-8")
-        assert main([str(root), "--json"]) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["cache"]["hits"] == 1 and warm["cache"]["misses"] == 1
-
-    def test_fixed_code_is_relinted_not_replayed(self, tmp_path, capsys):
-        root = _deploy("rl001_firing.py", tmp_path)
-        main([str(root), "--json"])
-        capsys.readouterr()
-        target = root / "src" / "repro" / "monitor" / "example.py"
-        text = target.read_text(encoding="utf-8")
-        target.write_text(
-            text.replace(
-                "        self.snapshot = None  # guarded write outside `with self.lock`",
-                "        with self.lock:\n            self.snapshot = None",
-            ),
-            encoding="utf-8",
-        )
-        assert main([str(root), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["findings"] == []
-
-
-class TestBaselineRatchet:
-    def test_known_findings_pass_new_findings_fail(self, tmp_path, capsys):
-        root = _deploy("rl001_firing.py", tmp_path)
-        baseline = root / "lint-baseline.json"
-        args = [str(root), "--no-cache", "--baseline", str(baseline)]
-        assert main([*args, "--update-baseline"]) == 0
-        capsys.readouterr()
-        # The recorded finding no longer fails the run...
-        assert main(args) == 0
-        capsys.readouterr()
-        # ...but a finding at a new location does, and is the only one shown.
-        second = root / "src" / "repro" / "monitor" / "example2.py"
-        second.write_text(
-            (FIXTURES / "rl001_firing.py").read_text(encoding="utf-8"),
-            encoding="utf-8",
-        )
-        assert main([*args, "--json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert all(f["path"].endswith("example2.py") for f in document["baseline"]["new"])
-        assert all(f["path"].endswith("example.py") for f in document["baseline"]["known"])
-
-    def test_fixed_findings_show_up_as_resolved(self, tmp_path, capsys):
-        root = _deploy("rl001_firing.py", tmp_path)
-        baseline = root / "lint-baseline.json"
-        args = [str(root), "--no-cache", "--baseline", str(baseline)]
-        assert main([*args, "--update-baseline"]) == 0
-        capsys.readouterr()
-        target = root / "src" / "repro" / "monitor" / "example.py"
-        target.write_text(
-            (FIXTURES / "rl001_clean.py").read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        assert main([*args, "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["baseline"]["resolved"]  # the ratchet can now shrink
-
-
 class TestCliParity:
     """``repro.cli lint`` and ``python -m repro.lint`` share one argument
     set and one runner — same flags, same exit codes, same output."""
@@ -527,7 +467,7 @@ class TestCliParity:
         from repro.cli import main as cli_main
 
         root = _deploy("rl001_firing.py", tmp_path)
-        argv = [str(root), "--strict", "--json", "--no-cache"]
+        argv = [str(root), "--strict", "--json"]
         module_exit = main(argv)
         module_doc = json.loads(capsys.readouterr().out)
         cli_exit = cli_main(["lint", *argv])
@@ -538,5 +478,19 @@ class TestCliParity:
         from repro.cli import main as cli_main
 
         root = _deploy("rl001_clean.py", tmp_path)
-        argv = [str(root), "--strict", "--no-cache"]
+        argv = [str(root), "--strict"]
         assert main(argv) == cli_main(["lint", *argv]) == 0
+
+    def test_flag_set_is_paths_strict_json_rules(self, tmp_path):
+        from repro.cli import main as cli_main
+
+        parser = argparse.ArgumentParser()
+        add_lint_arguments(parser)
+        assert set(vars(parser.parse_args([]))) == {"paths", "strict", "as_json", "rules"}
+        # Retired flags are usage errors (argparse exits 2) on both entry points.
+        for flag in ("--fix", "--no-cache", "--baseline=x.json"):
+            with pytest.raises(SystemExit) as module_exit:
+                main([str(tmp_path), flag])
+            with pytest.raises(SystemExit) as cli_exit:
+                cli_main(["lint", str(tmp_path), flag])
+            assert module_exit.value.code == cli_exit.value.code == 2
