@@ -6,7 +6,8 @@ Three claims this PR's query engine makes, measured and recorded:
   methods) beats the per-user ``estimate()`` loop for every method, with
   bit-identical results;
 * ``ReadSnapshot.batch_spread`` over 10k integer users is >= 5x the
-  per-user ``spread`` loop (the C-level ``itemgetter`` dict-probe path);
+  per-user ``spread`` loop (one vectorised gather from the frozen score
+  columns, :meth:`~repro.state.FrozenScores.gather_exact`);
 * the monitor's incremental top-k refresh over a 100k-user window is >= 5x
   the full rebuild-and-sort it replaced.
 

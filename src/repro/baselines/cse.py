@@ -85,32 +85,10 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         # from the 8-byte key fold beyond it — bit-identical either way).
         self._arena = UserArena(m=virtual_size, family=self._family, owner=self.name)
 
-    # -- per-user state views (dict-shaped, arena-backed) ----------------------
-
-    @property
-    def _estimates(self):
-        """Live ``{user: cached estimate}`` view over the arena columns."""
-        return self._arena.estimates
-
-    @_estimates.setter
-    def _estimates(self, mapping) -> None:
-        # Snapshot restore assigns a plain dict; adopt it in mapping order so
-        # first-seen order round-trips exactly.
-        self._arena.load_estimates(mapping)
-
-    @property
-    def _positions_cache(self):
-        """Live view of the arena's materialised position rows."""
-        return self._arena.positions_cache
-
     # -- internal helpers -----------------------------------------------------
 
-    def _positions(self, user: object) -> np.ndarray:
-        return self._arena.positions_row(self._arena.intern(user))
-
-    def _estimate_from_sketch(self, user: object) -> float:
-        """Recompute the CSE estimate of ``user`` from the shared array (O(m))."""
-        positions = self._positions(user)
+    def _estimate_from_sketch(self, positions: np.ndarray) -> float:
+        """Recompute the CSE estimate of the user at ``positions`` (O(m))."""
         virtual_zeros = int(np.count_nonzero(~self._bits.get_bits(positions)))
         return self._estimate_from_counts(virtual_zeros, self._bits.zero_fraction)
 
@@ -147,19 +125,16 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         """Arena codes of a batch's unique users (interned in batch order)."""
         return self._arena.intern_many(batch.users, batch.user_hashes)
 
-    def _positions_matrix(self, batch: EncodedBatch) -> np.ndarray:
-        """Cache-aware ``(n_users, m)`` position matrix of a batch's users."""
-        return self._arena.positions_rows(self._intern_batch(batch))
-
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
         """Process one (user, item) pair; refresh only this user's estimate (O(m))."""
-        positions = self._positions(user)
+        code = self._arena.intern(user)
+        positions = self._arena.positions_row(code)
         bucket = hash64(item, seed=self.seed ^ 0xD1) % self.m
         self._bits.set_bit(int(positions[bucket]))
-        estimate = self._estimate_from_sketch(user)
-        self._estimates[user] = estimate
+        estimate = self._estimate_from_sketch(positions)
+        self._arena.set_estimate(code, estimate)
         return estimate
 
     @hot_path
@@ -225,29 +200,23 @@ class CSE(BatchUpdatable, CardinalityEstimator):
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
-        return self._estimates.get(user, 0.0)
+        return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch cached estimates in input order (the ``estimate`` semantics)."""
-        from repro.engine.query import gather_cached_estimates
-
-        return gather_cached_estimates(self._estimates, users)
-
-    def _tracked(self, user: object) -> bool:
-        """Whether ``user`` has per-user state in the arena.
-
-        Interned means tracked: every path that touches a user's bits —
-        scalar update, batch update, snapshot restore — interns it first,
-        so arena membership is exactly the old ``positions cache or
-        estimates`` union.
-        """
-        return self._arena.contains(user)
+        return self._arena.estimate_column(users).tolist()
 
     def estimate_fresh(self, user: object) -> float:
-        """Recompute the estimate of ``user`` from the shared array right now."""
-        if not self._tracked(user):
+        """Recompute the estimate of ``user`` from the shared array right now.
+
+        0.0 for a user the arena never interned: every path that touches a
+        user's bits (scalar update, batch update, snapshot restore) interns
+        it first, so interned means tracked.
+        """
+        code = self._arena.lookup(user)
+        if code < 0:
             return 0.0
-        return self._estimate_from_sketch(user)
+        return self._estimate_from_sketch(self._arena.positions_row(code))
 
     def estimate_fresh_many(self, users):
         """Batch :meth:`estimate_fresh` in input order, decoded vectorised.
@@ -258,20 +227,13 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         formula, so the results are bit-identical to calling
         :meth:`estimate_fresh` per user.
         """
-        from repro.engine.query import positions_matrix_for_users
-
-        users = list(users)
-        results = [0.0] * len(users)
-        tracked = [index for index, user in enumerate(users) if self._tracked(user)]
-        if not tracked:
-            return results
-        matrix = positions_matrix_for_users(
-            self._family, self._positions_cache, [users[index] for index in tracked]
-        )
-        values = self._fresh_estimates_for(self._bits, matrix)
-        for index, value in zip(tracked, values.tolist()):
-            results[index] = value
-        return results
+        codes = self._arena.lookup_many(list(users))
+        tracked = np.flatnonzero(codes >= 0)
+        results = np.zeros(codes.size, dtype=np.float64)
+        if tracked.size:
+            positions = self._arena.positions_rows(codes[tracked])
+            results[tracked] = self._fresh_estimates_for(self._bits, positions)
+        return results.tolist()
 
     def _fresh_estimates_for(self, bits: BitArray, positions: np.ndarray) -> np.ndarray:
         """Estimates of the users with ``(n, m)`` ``positions``, read off ``bits``.

@@ -24,6 +24,7 @@ from repro.engine.encoding import EncodedBatch
 from repro.engine.kernels import grouped_indices
 from repro.sketches.hllpp import HyperLogLogPlusPlus
 from repro.sketches.lpc import LinearProbabilisticCounter
+from repro.state import UserArena
 
 
 class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
@@ -41,7 +42,9 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
         self._sketch_bits = sketch_bits
         self.seed = seed
         self._sketches: dict[object, object] = {}
-        self._estimates: dict[object, float] = {}
+        # Each user's latest estimate as one arena column (no folds, no
+        # positions), interned in the same first-seen order as ``_sketches``.
+        self._arena = UserArena(owner=self.name)
 
     def update(self, user: object, item: object) -> float:
         """Insert ``item`` into ``user``'s private sketch; return its estimate."""
@@ -51,7 +54,7 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
             self._sketches[user] = sketch
         sketch.add(item)
         estimate = float(sketch.estimate())
-        self._estimates[user] = estimate
+        self._arena.set_estimate(self._arena.intern(user), estimate)
         return estimate
 
     def update_encoded(self, batch: EncodedBatch) -> None:
@@ -68,6 +71,7 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
         if len(batch) == 0:
             return
         hashed_items = batch.item_hashes_with_seed(self.seed)
+        estimates = np.empty(batch.n_users, dtype=np.float64)
         for code, positions in grouped_indices(batch.user_codes, batch.n_users):
             user = batch.users[code]
             sketch = self._sketches.get(user)
@@ -75,7 +79,10 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
                 sketch = self._sketch_factory()
                 self._sketches[user] = sketch
             self._add_hashed_batch(sketch, hashed_items[positions])
-            self._estimates[user] = float(sketch.estimate())
+            estimates[code] = sketch.estimate()
+        # Codes ascend in first-appearance order, the order the loop above
+        # added new users to ``_sketches``.
+        self._arena.set_estimates(self._arena.intern_many(batch.users), estimates)
 
     def _add_hashed_batch(self, sketch: object, hashed_items: np.ndarray) -> None:
         """Insert pre-hashed items into one private sketch (overridable)."""
@@ -84,7 +91,7 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
 
     def estimate(self, user: object) -> float:
         """Return the latest estimate for ``user`` (0.0 for unseen users)."""
-        return self._estimates.get(user, 0.0)
+        return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch estimates in input order, served from the per-user cache.
@@ -92,13 +99,11 @@ class _PerUserSketchEstimator(BatchUpdatable, CardinalityEstimator):
         Private sketches refresh their user's cached estimate on every
         insert, so the cache *is* the fresh estimate — one gather suffices.
         """
-        from repro.engine.query import gather_cached_estimates
-
-        return gather_cached_estimates(self._estimates, users)
+        return self._arena.estimate_column(users).tolist()
 
     def estimates(self) -> dict[object, float]:
         """Return the latest estimate of every observed user."""
-        return dict(self._estimates)
+        return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:
         """Accounted memory: per-user sketch size times number of users seen."""

@@ -88,36 +88,15 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         # recomputed from the 8-byte key fold beyond it).
         self._arena = UserArena(m=virtual_size, family=self._family, owner=self.name)
 
-    # -- per-user state views (dict-shaped, arena-backed) ----------------------
-
-    @property
-    def _estimates(self):
-        """Live ``{user: cached estimate}`` view over the arena columns."""
-        return self._arena.estimates
-
-    @_estimates.setter
-    def _estimates(self, mapping) -> None:
-        # Snapshot restore assigns a plain dict; adopt it in mapping order so
-        # first-seen order round-trips exactly.
-        self._arena.load_estimates(mapping)
-
-    @property
-    def _positions_cache(self):
-        """Live view of the arena's materialised position rows."""
-        return self._arena.positions_cache
-
     # -- internal helpers -----------------------------------------------------
 
-    def _positions(self, user: object) -> np.ndarray:
-        return self._arena.positions_row(self._arena.intern(user))
-
-    def _estimate_from_sketch(self, user: object) -> float:
-        """Recompute the vHLL estimate of ``user`` from the shared array (O(m)).
+    def _estimate_from_sketch(self, positions: np.ndarray) -> float:
+        """Recompute the vHLL estimate of the user at ``positions`` (O(m)).
 
         The scalar path's form: one user's ``m`` register values against
         the whole array's current statistics.
         """
-        values = self._registers.get_many(self._positions(user))
+        values = self._registers.get_many(positions)
         virtual_harmonic = float(np.sum(np.exp2(-values.astype(np.float64))))
         virtual_zeros = int(np.count_nonzero(values == 0))
         global_term = self._global_term(self._registers.harmonic_sum, self._registers.zeros)
@@ -179,22 +158,19 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         """Arena codes of a batch's unique users (interned in batch order)."""
         return self._arena.intern_many(batch.users, batch.user_hashes)
 
-    def _positions_matrix(self, batch: EncodedBatch) -> np.ndarray:
-        """Cache-aware ``(n_users, m)`` position matrix of a batch's users."""
-        return self._arena.positions_rows(self._intern_batch(batch))
-
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
         """Process one (user, item) pair; refresh only this user's estimate (O(m))."""
-        positions = self._positions(user)
+        code = self._arena.intern(user)
+        positions = self._arena.positions_row(code)
         item_hash = hash64(item, seed=self.seed ^ 0xD2)
         bucket = item_hash % self.m
         # Remix before ranking so the bucket choice does not bias the rank.
         rank = geometric_rank(splitmix64(item_hash), max_rank=self._registers.max_value)
         self._registers.update(int(positions[bucket]), rank)
-        estimate = self._estimate_from_sketch(user)
-        self._estimates[user] = estimate
+        estimate = self._estimate_from_sketch(positions)
+        self._arena.set_estimate(code, estimate)
         return estimate
 
     @hot_path
@@ -280,27 +256,23 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
-        return self._estimates.get(user, 0.0)
+        return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch cached estimates in input order (the ``estimate`` semantics)."""
-        from repro.engine.query import gather_cached_estimates
-
-        return gather_cached_estimates(self._estimates, users)
-
-    def _tracked(self, user: object) -> bool:
-        """Whether ``user`` has per-user state in the arena.
-
-        Interned means tracked: every path that touches a user's registers —
-        scalar update, batch update, snapshot restore — interns it first.
-        """
-        return self._arena.contains(user)
+        return self._arena.estimate_column(users).tolist()
 
     def estimate_fresh(self, user: object) -> float:
-        """Recompute the estimate of ``user`` from the shared array right now."""
-        if not self._tracked(user):
+        """Recompute the estimate of ``user`` from the shared array right now.
+
+        0.0 for a user the arena never interned: every path that touches a
+        user's registers (scalar update, batch update, snapshot restore)
+        interns it first, so interned means tracked.
+        """
+        code = self._arena.lookup(user)
+        if code < 0:
             return 0.0
-        return self._estimate_from_sketch(user)
+        return self._estimate_from_sketch(self._arena.positions_row(code))
 
     def estimate_fresh_many(self, users):
         """Batch :meth:`estimate_fresh` in input order, decoded vectorised.
@@ -312,20 +284,13 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
         of the scalar formula, so results are bit-identical to per-user
         :meth:`estimate_fresh`.
         """
-        from repro.engine.query import positions_matrix_for_users
-
-        users = list(users)
-        results = [0.0] * len(users)
-        tracked = [index for index, user in enumerate(users) if self._tracked(user)]
-        if not tracked:
-            return results
-        matrix = positions_matrix_for_users(
-            self._family, self._positions_cache, [users[index] for index in tracked]
-        )
-        values = self._fresh_estimates_for(self._registers, matrix)
-        for index, value in zip(tracked, values.tolist()):
-            results[index] = value
-        return results
+        codes = self._arena.lookup_many(list(users))
+        tracked = np.flatnonzero(codes >= 0)
+        results = np.zeros(codes.size, dtype=np.float64)
+        if tracked.size:
+            positions = self._arena.positions_rows(codes[tracked])
+            results[tracked] = self._fresh_estimates_for(self._registers, positions)
+        return results.tolist()
 
     def _fresh_estimates_for(
         self, registers: RegisterArray, positions: np.ndarray

@@ -60,16 +60,6 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         self._pairs_processed = 0
         self._pairs_sampled = 0
 
-    @property
-    def _estimates(self):
-        """Live ``{user: running estimate}`` view over the arena column."""
-        return self._arena.estimates
-
-    @_estimates.setter
-    def _estimates(self, mapping) -> None:
-        # Snapshot restore assigns a plain dict; adopt it in mapping order.
-        self._arena.load_estimates(mapping)
-
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
@@ -84,7 +74,7 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         if self._registers.update(index, rank):
             self._pairs_sampled += 1
             return self._arena.add_estimate(user, 1.0 / q_before)
-        return self._estimates.setdefault(user, 0.0)
+        return self._arena.add_estimate(user, 0.0)
 
     @hot_path
     def update_encoded(self, batch: EncodedBatch) -> None:
@@ -130,13 +120,11 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
 
     def estimate(self, user: object) -> float:
         """Return the current estimate of ``user`` (0.0 for unseen users)."""
-        return self._estimates.get(user, 0.0)
+        return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch estimates in input order, served from the running HT sums."""
-        from repro.engine.query import gather_cached_estimates
-
-        return gather_cached_estimates(self._estimates, users)
+        return self._arena.estimate_column(users).tolist()
 
     def estimates(self) -> dict[object, float]:
         """Return the current estimate of every observed user."""

@@ -97,20 +97,6 @@ def _estimates_from_json(triples: list) -> dict:
     return {_key_from_json(kind, key): float(value) for kind, key, value in triples}
 
 
-def _estimate_columns(estimator) -> tuple[list, np.ndarray]:
-    """``(users, float64 estimates)`` in first-seen order.
-
-    Arena-backed estimators hand over their user list and estimate column
-    directly; the per-user-sketch baselines go through their dict.
-    """
-    arena = getattr(estimator, "_arena", None)
-    if arena is not None:
-        return arena.estimate_columns()
-    estimates = estimator.estimates()
-    users = list(estimates)
-    return users, np.fromiter(estimates.values(), dtype=np.float64, count=len(users))
-
-
 def _estimates_payload(users: list, values: np.ndarray):
     """Estimates in wire form: columnar arrays for pure-int populations.
 
@@ -422,7 +408,7 @@ def to_obj(estimator) -> dict:
         "version": _FORMAT_VERSION,
         "kind": kind,
         "estimates": (
-            [] if kind == "Sharded" else _estimates_payload(*_estimate_columns(estimator))
+            [] if kind == "Sharded" else _estimates_payload(*estimator._arena.estimate_columns())
         ),
         "body": body,
     }
@@ -454,9 +440,8 @@ def _load_envelope(envelope: dict):
         raise ValueError(f"unknown snapshot kind {kind!r}")
     estimator = codec.load(envelope["body"])
     if codec.attach_estimates:
-        # Arena-backed estimators adopt the dict through their _estimates
-        # property setter (interning users in mapping order).
-        estimator._estimates = _estimates_from_payload(envelope["estimates"])
+        # Interned in mapping order: the snapshot's first-seen order.
+        estimator._arena.load_estimates(_estimates_from_payload(envelope["estimates"]))
     return estimator
 
 

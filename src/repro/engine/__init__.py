@@ -37,8 +37,6 @@ from repro.engine.encoding import (
     seed_mix,
 )
 from repro.engine.query import (
-    gather_cached_estimates,
-    positions_matrix_for_users,
     row_harmonic_sums,
     row_register_values,
     row_zero_bit_counts,
@@ -53,9 +51,7 @@ __all__ = [
     "ShardedEstimator",
     "encode_int_pairs",
     "encode_pairs",
-    "gather_cached_estimates",
     "hot_path",
-    "positions_matrix_for_users",
     "process_stream",
     "route_pair_shards",
     "route_user_hashes",

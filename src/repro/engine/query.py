@@ -1,17 +1,13 @@
-"""Vectorised query-side kernels: batch estimation over many users at once.
+"""Vectorised query-side kernels: virtual-sketch decode over many users at once.
 
-PR 1 vectorised the *update* side of every method; this module is the
-query-side twin.  The expensive per-user work when answering
-``estimate_many`` / ``estimate_fresh_many`` queries is always one of two
-shapes:
-
-* **virtual-sketch decode** (CSE, vHLL) — gather each user's ``m`` physical
-  cells from the shared array and reduce them (zero counts, harmonic sums).
-  Done per user this is an O(m) Python round-trip; done for a batch it is a
-  single ``(n_users, m)`` gather plus one axis-1 numpy reduction.
-* **cache gather** (FreeBS, FreeRS, the per-user baselines and every cached
-  ``estimate()``) — one dict lookup per user, which only needs a tight
-  bound-method loop rather than a method call per user.
+The engine's batch paths vectorise the *update* side of every method; this
+module is the query-side twin for CSE and vHLL.  Answering
+``estimate_fresh_many`` means gathering each user's ``m`` physical cells
+from the shared array and reducing them (zero counts, harmonic sums).
+Done per user this is an O(m) Python round-trip; done for a batch it is a
+single ``(n_users, m)`` gather plus one axis-1 numpy reduction.  (Cached
+estimates need no kernel: every estimator answers ``estimate_many`` with
+one :meth:`~repro.state.UserArena.estimate_column` gather.)
 
 Every helper here is *bit-identical* to the scalar loop it replaces: the
 reductions produce exactly the integer counts / float sums the scalar
@@ -23,74 +19,9 @@ property suite (``tests/test_query_engine.py``) enforces this per method.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
-
-from repro.hashing import fold_key
-
-
-def gather_cached_estimates(cache: Any, users: Sequence[object]) -> list[float]:
-    """Per-user cached estimates in input order (0.0 for unseen users).
-
-    Arena-backed caches (:class:`repro.state.EstimatesView`) resolve the
-    whole batch as one vectorised code lookup plus a single masked column
-    gather; plain dicts fall back to one bound-method loop, no per-user
-    method dispatch.  Both are trivially bit-identical to the scalar
-    ``cache.get(user, 0.0)`` path (the gathered column holds the exact
-    float64 values the scalar path would read).
-    """
-    gather = getattr(cache, "gather_default_zero", None)
-    if gather is not None:
-        return gather(users)
-    get = cache.get
-    return [get(user, 0.0) for user in users]
-
-
-def positions_matrix_for_users(
-    family: Any, cache: Any, users: Sequence[object]
-) -> np.ndarray:
-    """Return the ``(len(users), family.m)`` virtual-sketch position matrix.
-
-    For plain user sequences (no :class:`~repro.engine.encoding.EncodedBatch`
-    in hand; batch updates read positions from the arena directly).  An
-    arena-backed cache (:class:`repro.state.PositionsView`) answers with one
-    interned-code gather over its columnar positions block
-    (or one vectorised fold evaluation in fold mode) — bit-identical to
-    ``family.positions`` by the hashing layer's contract.  For plain dict
-    caches, cached rows are stacked in one fancy-indexed copy, missing rows
-    are folded and evaluated in one vectorised family pass and written back
-    to ``cache``.
-    """
-    arena = getattr(cache, "_arena", None)
-    if arena is not None:
-        return arena.positions_rows(arena.intern_many(users))
-    n = len(users)
-    matrix = np.empty((n, family.m), dtype=np.int64)
-    missing: list[int] = []
-    hit_rows: list[int] = []
-    hit_values: list[np.ndarray] = []
-    for row, user in enumerate(users):
-        cached = cache.get(user)
-        if cached is not None:
-            hit_rows.append(row)
-            hit_values.append(cached)
-        else:
-            missing.append(row)
-    if hit_values:
-        if len(hit_values) == n:
-            # All hits: one stacked bulk copy, no index pass.
-            np.stack(hit_values, out=matrix)
-        else:
-            matrix[hit_rows] = np.stack(hit_values)
-    if missing:
-        folds = np.array([fold_key(users[row]) for row in missing], dtype=np.uint64)
-        rows = family.positions_from_hashes(folds)
-        matrix[missing] = rows
-        for row_index, row in enumerate(missing):
-            cache[users[row]] = rows[row_index].copy()
-    return matrix
 
 
 def row_zero_bit_counts(bits: Any, positions_matrix: np.ndarray) -> np.ndarray:

@@ -38,12 +38,8 @@ import ast
 from dataclasses import dataclass, field
 
 #: Edge kinds.  Dataflow treats ``exception`` edges specially (they carry
-#: the pre-state of the raising element); every other kind is "normal".
+#: the pre-state of the raising element); every other edge is ``next``.
 KIND_NEXT = "next"
-KIND_TRUE = "true"
-KIND_FALSE = "false"
-KIND_LOOP = "loop"
-KIND_EXHAUSTED = "exhausted"
 KIND_EXCEPTION = "exception"
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
@@ -71,7 +67,6 @@ Element = ast.stmt | Marker
 
 @dataclass
 class Edge:
-    src: int
     dst: int
     kind: str
 
@@ -103,7 +98,7 @@ class CFG:
         for edge in self.blocks[src].succs:
             if edge.dst == dst and edge.kind == kind:
                 return
-        edge = Edge(src, dst, kind)
+        edge = Edge(dst, kind)
         self.blocks[src].succs.append(edge)
         self.blocks[dst].preds.append(edge)
 
@@ -156,11 +151,11 @@ class _Builder:
     def exc_target(self) -> int:
         return self.exc_targets[-1]
 
-    def element_block(self, element: Element, pred: int | None, kind: str = KIND_NEXT) -> int:
+    def element_block(self, element: Element, pred: int | None) -> int:
         """Append ``element`` in its own block after ``pred`` (if reachable)."""
         block = self.cfg.new_block(element)
         if pred is not None:
-            self.cfg.add_edge(pred, block.id, kind)
+            self.cfg.add_edge(pred, block.id)
         if _can_raise(element):
             self.cfg.add_edge(block.id, self.exc_target, KIND_EXCEPTION)
         return block.id
@@ -265,23 +260,15 @@ class _Builder:
 
     def _build_if(self, stmt: ast.If, pred: int) -> int | None:
         test = self.element_block(Marker("test", stmt.test), pred)
-        then_tail = self.build_body(stmt.body, self._arm(test, KIND_TRUE))
-        else_tail = (
-            self.build_body(stmt.orelse, self._arm(test, KIND_FALSE))
-            if stmt.orelse
-            else test
-        )
+        then_tail = self.build_body(stmt.body, self._arm(test))
+        else_tail = self.build_body(stmt.orelse, self._arm(test)) if stmt.orelse else test
         if then_tail is None and else_tail is None:
             return None
-        after = self.join_block(then_tail)
-        if else_tail is not None:
-            kind = KIND_FALSE if else_tail is test else KIND_NEXT
-            self.cfg.add_edge(else_tail, after, kind)
-        return after
+        return self.join_block(then_tail, else_tail)
 
-    def _arm(self, test: int, kind: str) -> int:
+    def _arm(self, test: int) -> int:
         arm = self.cfg.new_block()
-        self.cfg.add_edge(test, arm.id, kind)
+        self.cfg.add_edge(test, arm.id)
         return arm.id
 
     def _is_const_true(self, expr: ast.expr) -> bool:
@@ -292,16 +279,16 @@ class _Builder:
         test = self.element_block(Marker("test", stmt.test), head)
         after = self.join_block()
         self.loops.append(_Loop(head, after, len(self.scopes)))
-        body_tail = self.build_body(stmt.body, self._arm(test, KIND_TRUE))
+        body_tail = self.build_body(stmt.body, self._arm(test))
         if body_tail is not None:
             self.cfg.add_edge(body_tail, head)
         self.loops.pop()
         exits_normally = not self._is_const_true(stmt.test)
         if exits_normally:
             else_tail = (
-                self.build_body(stmt.orelse, self._arm(test, KIND_FALSE))
+                self.build_body(stmt.orelse, self._arm(test))
                 if stmt.orelse
-                else self._arm(test, KIND_FALSE)
+                else self._arm(test)
             )
             if else_tail is not None:
                 self.cfg.add_edge(else_tail, after)
@@ -309,7 +296,7 @@ class _Builder:
 
     def _build_for(self, stmt: ast.For | ast.AsyncFor, pred: int) -> int | None:
         head = self.join_block(pred)
-        step = self.element_block(Marker("loop_iter", stmt), head, KIND_LOOP)
+        step = self.element_block(Marker("loop_iter", stmt), head)
         after = self.join_block()
         self.loops.append(_Loop(head, after, len(self.scopes)))
         body_tail = self.build_body(stmt.body, step)
@@ -318,8 +305,7 @@ class _Builder:
         self.loops.pop()
         else_tail = self.build_body(stmt.orelse, head) if stmt.orelse else head
         if else_tail is not None:
-            kind = KIND_EXHAUSTED if else_tail is head else KIND_NEXT
-            self.cfg.add_edge(else_tail, after, kind)
+            self.cfg.add_edge(else_tail, after)
         return after if self.cfg.blocks[after].preds else None
 
     def _build_with(self, stmt: ast.With | ast.AsyncWith, pred: int) -> int | None:

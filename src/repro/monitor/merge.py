@@ -113,18 +113,13 @@ def _union(declared: MergeSpec, merged, source) -> None:
 
 
 def tracked_users(estimator) -> list:
-    """Every user the estimator carries per-user state for, in stable order.
+    """Every user the estimator carries per-user state for, in first-seen order.
 
-    Arena-backed estimators (FreeBS/FreeRS/CSE/vHLL) answer straight from
-    the interner: every user with any per-user state is interned, including
-    a CSE/vHLL user whose estimate was never published, and intern order is
-    first-seen order.  The per-user-sketch baselines publish an estimate
-    for every user they hold.
+    Straight from the arena's interner: every user with any per-user state
+    is interned, including a CSE/vHLL user whose estimate was never
+    published.
     """
-    arena = getattr(estimator, "_arena", None)
-    if arena is not None:
-        return arena.users()
-    return list(estimator._estimates)
+    return estimator._arena.users()
 
 
 def merge_into(target, source, refresh_estimates: bool = True):
@@ -291,8 +286,9 @@ class _SharedArrayPrefix:
     @staticmethod
     def merge(declared: MergeSpec, target, source, refresh: bool) -> None:
         _union(declared, getattr(target, declared.array), source)
-        for user in source._estimates:
-            target._estimates.setdefault(user, 0.0)
+        # Publish source's users (0.0 for new ones) in its first-seen order.
+        users, _values = source._arena.estimate_columns()
+        target._arena.publish(target._arena.intern_many(users))
         if refresh:
             refresh_estimates_from_state(target)
 
@@ -411,15 +407,19 @@ class _ObjectPrefix:
                 target._sketches[user] = copy.deepcopy(sketch)
             else:
                 mine.merge(sketch)
-            if refresh:
-                target._estimates[user] = float(target._sketches[user].estimate())
-            else:
-                target._estimates.setdefault(user, 0.0)
+        users = list(source._sketches)
+        codes = target._arena.intern_many(users)
+        if refresh:
+            target._arena.set_estimates(codes, _sketch_estimates(target, users))
+        else:
+            target._arena.publish(codes)
 
     @staticmethod
     def refresh(estimator) -> None:
-        for user, sketch in estimator._sketches.items():
-            estimator._estimates[user] = float(sketch.estimate())
+        users = list(estimator._sketches)
+        estimator._arena.set_estimates(
+            estimator._arena.intern_many(users), _sketch_estimates(estimator, users)
+        )
 
     @staticmethod
     def fresh(estimator) -> dict[object, float]:
@@ -433,6 +433,14 @@ class _ObjectPrefix:
         merge_into(combined, live, refresh_estimates=False)
         refresh_estimates_from_state(combined)
         return combined.estimates()
+
+
+def _sketch_estimates(estimator, users: list) -> np.ndarray:
+    """The per-user sketches' current estimates of ``users``, as a column."""
+    sketches = estimator._sketches
+    return np.fromiter(
+        (sketches[user].estimate() for user in users), dtype=np.float64, count=len(users)
+    )
 
 
 #: One implementation per merge family, keyed by :attr:`MergeSpec.family`.

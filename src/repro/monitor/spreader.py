@@ -27,9 +27,10 @@ import numpy as np
 
 from repro import obs
 from repro.engine.base import hot_path
-from repro.monitor.merge import ADDITIVE, additive_rescore, merge_exactness
+from repro.monitor.merge import ADDITIVE, additive_rescore, as_columns, merge_exactness
 from repro.monitor.topk import TopKTracker
 from repro.monitor.window import WindowedEstimator
+from repro.state import FrozenScores, ScoreTable
 
 UserItemPair = tuple[object, object]
 
@@ -119,7 +120,7 @@ class SpreaderMonitor:
         from repro.monitor.view import SlidingMergeCache
 
         self._merge_cache = SlidingMergeCache()
-        self._last_window_estimates: Mapping[object, float] | None = None
+        self._last_window_estimates: ScoreTable | None = None
         #: None until the first evaluation decides whether the method's
         #: sliding estimates can be maintained incrementally (additive merge).
         self._incremental_capable: bool | None = None
@@ -334,26 +335,23 @@ class SpreaderMonitor:
         """The enter threshold used by the most recent evaluation."""
         return self._last_enter_threshold
 
-    def last_window_estimates(self) -> Mapping[object, float]:
+    def last_window_estimates(self) -> FrozenScores:
         """The sliding-window estimates from the most recent evaluation.
 
         The backing table is the monitor's live score state, mutated in
         place by later evaluations — handing it out directly would let a
-        reader race a concurrent ingest thread mid-iteration (or corrupt the
-        top-k tracker by mutating it).  When the table supports it, readers
-        get an O(1) copy-on-write :meth:`~repro.state.ScoreTable.checkout`
-        — the table copies its columns only if a later evaluation actually
-        mutates them — instead of the old O(users) dict copy per call.
-        Falls back to a fresh merge when nothing was ingested since the
-        monitor was built or restored.
+        reader race a concurrent ingest thread mid-iteration.  Readers get
+        an O(1) copy-on-write :meth:`~repro.state.ScoreTable.checkout`
+        instead: the table copies its columns only if a later evaluation
+        actually mutates them.  Before the first evaluation of a fresh or
+        restored monitor, a table of its own is filled once from a fresh
+        merge of the window.
         """
         current = self._last_window_estimates
         if current is None:
-            current = self._last_window_estimates = self.window.window_estimates()
-        checkout = getattr(current, "checkout", None)
-        if checkout is not None:
-            return checkout()
-        return dict(current)
+            current = self._last_window_estimates = ScoreTable()
+            current.replace(*as_columns(self.window.window_estimates()))
+        return current.checkout()
 
     @property
     def alerts_emitted(self) -> int:

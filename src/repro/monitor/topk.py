@@ -6,7 +6,7 @@ batch touched a handful of users.  :class:`TopKTracker` replaces that with:
 
 * a **score table** (:class:`repro.state.ScoreTable`) maintained in
   first-seen order (the canonical tie-break of every ranking this
-  repository serves) — numpy score/rank columns behind a dict-shaped
+  repository serves) — numpy score/rank columns behind a read-only
   mapping, with O(1) copy-on-write checkouts for readers;
 * a **bounded head**: the exact top-k under the total order
   ``(-score, first_seen_rank)``.  Incremental updates arrive as columns

@@ -7,10 +7,11 @@ and cheap:
 * :class:`ReadSnapshot` — an immutable export of everything the hot query
   ops (``spread`` / ``batch_spread`` / ``topk`` / ``stats``) need, stamped
   with the monitor's :attr:`~repro.monitor.spreader.SpreaderMonitor.version`.
-  Building one costs a dict copy plus one ranking sort; it reuses the
-  sliding-window merge the monitor's own evaluation already cached, so the
-  export adds no sketch work.  Readers hold a reference and never touch the
-  live monitor — ingest proceeds regardless of reader count.
+  Building one costs an O(1) checkout of the monitor's score table; it
+  reuses the sliding-window merge the monitor's own evaluation already
+  cached, so the export adds no sketch work.  Readers hold a reference
+  and never touch the live monitor — ingest proceeds regardless of reader
+  count.
 * :class:`SlidingMergeCache` — the sliding-window merge behind both the
   monitor's per-batch evaluation and the ``sliding(k_epochs)`` op, cached
   by the *closed-epoch prefix* of the window slice.  Closed epochs are
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.monitor.merge import (
     sliding_prefix,
 )
 from repro.monitor.window import WindowedEstimator
+from repro.state import FrozenScores
 
 
 def wire_user(user: object) -> object:
@@ -105,16 +106,16 @@ class ReadSnapshot:
     #: Metadata of every retained epoch, oldest first.
     epoch_summaries: tuple[dict[str, object], ...]
     #: Full sliding-window per-user estimates, in first-seen key order (the
-    #: canonical tie-break of every ranking).
-    estimates: Mapping[object, float]
+    #: canonical tie-break of every ranking): a frozen score-table checkout.
+    estimates: FrozenScores
     #: Head of the ranking, precomputed by the monitor's continuous top-k
     #: tracker (up to the monitor's ``top_k`` entries).
     top: tuple[tuple[object, float], ...] = ()
 
     # -- lazy derived structures ----------------------------------------------
     # The snapshot is frozen; caches are attached via object.__setattr__ so
-    # exporting one (done at every ingest batch boundary) costs two dict
-    # copies, not a full sort or index build.
+    # exporting one (done at every ingest batch boundary) costs no sort or
+    # index build.
 
     @property
     def ranked(self) -> tuple[tuple[object, float], ...]:
@@ -163,27 +164,18 @@ class ReadSnapshot:
 
         All-hit batches — the service hot path — resolve against the frozen
         score columns with one vectorised gather
-        (:meth:`repro.state.FrozenScores.gather_exact`) when the snapshot
-        carries a columnar checkout, or with a single C-level ``itemgetter``
-        call over a plain dict table (one dict probe per user, no
-        Python-level loop).  Any miss falls back to the per-user
-        :meth:`spread` loop with its normalization semantics (int/str
-        duality, wire aliases), so results are identical on every path.
-        An id array (the binary wire form) goes to the gather as it is.
+        (:meth:`repro.state.FrozenScores.gather_exact`).  Any miss falls
+        back to the per-user :meth:`spread` loop with its normalization
+        semantics (int/str duality, wire aliases), so results are identical
+        on every path.  An id array (the binary wire form) goes to the
+        gather as it is.
         """
         if not isinstance(users, np.ndarray):
             users = list(users)
         if len(users) > 1:
-            gather = getattr(self.estimates, "gather_exact", None)
-            if gather is not None:
-                values = gather(users)
-                if values is not None:
-                    return values
-            else:
-                try:
-                    return list(operator.itemgetter(*users)(self.estimates))
-                except (KeyError, TypeError):
-                    pass
+            values = self.estimates.gather_exact(users)
+            if values is not None:
+                return values
         return [self.spread(user) for user in users]
 
     def topk(self, k: int) -> list[tuple[object, float]]:
@@ -224,11 +216,9 @@ def export_read_snapshot(monitor) -> ReadSnapshot:
     Must run while the monitor is quiescent (between batches — the service
     layer holds the ingest lock).  Reuses the sliding merge of the last
     evaluation and the continuous top-k tracker's head, so the cost is one
-    dict copy — no sorting; the full ranking is materialised lazily only if
-    a deep ``topk`` asks for it.
+    copy-on-write checkout — no sorting; the full ranking is materialised
+    lazily only if a deep ``topk`` asks for it.
     """
-    # A copy-on-write checkout (or a per-call dict copy for non-columnar
-    # monitors) — immutable from the snapshot's point of view either way.
     estimates = monitor.last_window_estimates()
     window = monitor.window
     spec = getattr(monitor, "spec", None)

@@ -1,4 +1,4 @@
-"""Columnar per-user state for the shared-sketch methods.
+"""Columnar per-user state for every estimator.
 
 One :class:`UserArena` replaces the Python dicts of boxed objects an
 estimator used to keep per user — ``{user: float}`` running or cached
@@ -10,42 +10,44 @@ addressed by the dense codes of a :class:`~repro.state.interner.UserInterner`:
 column             dtype      meaning
 =================  =========  ====================================================
 ``estimate``       float64    the ``estimate()`` value (a running HT sum for
-                              FreeBS/FreeRS, the latest cached one for CSE/vHLL)
+                              FreeBS/FreeRS, the latest cached one otherwise)
 ``has_estimate``   bool       whether the estimate was ever published
 ``fold``           uint64     64-bit key fold (interner-owned; positions seed)
 ``positions``      int64      ``(capacity, m)`` contiguous physical-cell rows
 ``positions_ok``   bool       whether a user's dense positions row is materialised
 =================  =========  ====================================================
 
-FreeBS/FreeRS build their arena without a hash family: estimate columns
-only, no folds and no positions.  CSE/vHLL use all five columns.
+FreeBS/FreeRS and the per-user-sketch baselines (LPC, HLL++) build their
+arena without a hash family: estimate columns only, no folds and no
+positions.  CSE/vHLL use all five columns.
 
 Columns grow by amortised doubling; a grow copies the columns but never
 changes a code, so references held by query kernels stay valid.
 
-Positions policies
-------------------
+Positions
+---------
 
-``dense`` keeps the contiguous ``(capacity, m)`` int64 block — row gathers
-are pure ``np.take``, the fastest query path.  ``fold`` stores *nothing* per
-user beyond the 8-byte fold and recomputes rows on demand through
+While the capacity is at most ``dense_limit`` users the arena keeps the
+contiguous ``(capacity, m)`` int64 block — row gathers are pure
+``np.take``, the fastest query path.  Beyond it (from the start, when the
+initial capacity already exceeds the limit) the block is dropped and rows
+recompute on demand from the 8-byte fold through
 ``HashFamily.positions_from_hashes`` (bit-identical to the cached rows by
-the hashing contract) — 8 bytes/user instead of ``8*m``, the memory-scale
-mode.  ``auto`` (the default) starts dense and drops the block once the
-population crosses ``dense_limit`` users, trading the recompute cost for a
-~``m``-fold smaller footprint exactly when footprint starts to matter.
+the hashing contract) — 8 bytes/user instead of ``8*m``, exactly when
+footprint starts to matter.
 
-The dict-shaped views (:class:`EstimatesView`, :class:`PositionsView`) keep
-the estimators' ``_estimates`` / ``_positions_cache`` attributes source
-compatible: iteration order is intern order filtered by presence, which
-equals the insertion order the dicts used to have.
+Estimators read and write the columns through the methods below only:
+``estimate_of`` / ``estimate_column`` / ``estimate_columns`` to read, and
+``set_estimate(s)`` / ``add_estimate`` / ``publish`` / ``accumulate`` /
+``load_estimates`` to write.  Published users iterate in intern order,
+which is the first-seen order every ranking tie-breaks on.
 """
 
 from __future__ import annotations
 
 import copy
 import weakref
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import compress
 from typing import Any, Protocol
 
@@ -55,10 +57,10 @@ from repro import obs
 from repro.obs import Gauge
 from repro.state.interner import Keys, UserInterner
 
-#: Default population at which an ``auto`` arena drops its dense positions
-#: block.  Chosen above the service-scale query benchmarks (100k users stay
-#: on the dense fast path) but far below the multi-million-user populations
-#: the fold mode exists for.
+#: Default capacity above which an arena drops its dense positions block.
+#: Chosen above the service-scale query benchmarks (100k users stay on the
+#: dense fast path) but far below the multi-million-user populations the
+#: fold mode exists for.
 DENSE_POSITIONS_LIMIT = 1 << 17
 
 #: Approximate per-user overhead of the interner's dict slot + key object,
@@ -86,21 +88,19 @@ class UserArena:
     """Arena-style columnar store of per-user sketch state.
 
     With a hash ``family`` (CSE/vHLL) the arena also keeps each user's
-    fold and ``m`` sketch positions.  Without one (FreeBS/FreeRS) it holds
-    the estimate columns only; ``m`` and ``positions`` are then ignored.
+    fold and ``m`` sketch positions.  Without one (FreeBS/FreeRS, LPC,
+    HLL++) it holds the estimate columns only; ``m`` and ``dense_limit``
+    are then ignored.
     """
 
     def __init__(
         self,
         m: int = 0,
         family: HashFamily | None = None,
-        positions: str = "auto",
         dense_limit: int = DENSE_POSITIONS_LIMIT,
         owner: str = "arena",
         initial_capacity: int = 64,
     ) -> None:
-        if positions not in ("dense", "fold", "auto"):
-            raise ValueError("positions must be 'dense', 'fold' or 'auto'")
         if family is not None and m <= 0:
             raise ValueError("m must be positive")
         self._interner = UserInterner(
@@ -113,11 +113,8 @@ class UserArena:
         self._estimate = np.zeros(capacity, dtype=np.float64)
         self._has_estimate = np.zeros(capacity, dtype=np.bool_)
         self._estimate_count = 0
-        self._positions_policy = positions
-        self._dense_limit: int | None = (
-            int(dense_limit) if positions == "auto" else None
-        )
-        if family is None or positions == "fold":
+        self._dense_limit = int(dense_limit)
+        if family is None or capacity > self._dense_limit:
             self._positions: np.ndarray | None = None
             self._positions_ok: np.ndarray | None = None
         else:
@@ -173,21 +170,6 @@ class UserArena:
         clone._attach_gauges()
         return clone
 
-    # -- dict-shaped views ---------------------------------------------------------
-    # Built per access rather than stored: a stored view would form a
-    # reference cycle, and a dead arena would then wait for the cyclic
-    # collector instead of being freed when its estimator is.
-
-    @property
-    def estimates(self) -> EstimatesView:
-        """Live ``{user: estimate}`` view over the estimate column."""
-        return EstimatesView(self)
-
-    @property
-    def positions_cache(self) -> PositionsView:
-        """Live view of the materialised position rows."""
-        return PositionsView(self)
-
     # -- sizing -------------------------------------------------------------------
 
     @property
@@ -232,9 +214,9 @@ class UserArena:
         self._has_estimate = grown_has
         if self._positions is not None:
             assert self._positions_ok is not None
-            if self._dense_limit is not None and new_capacity > self._dense_limit:
-                # auto policy: the population outgrew the dense block — drop
-                # it and recompute rows from folds from here on.
+            if new_capacity > self._dense_limit:
+                # The population outgrew the dense block: drop it and
+                # recompute rows from folds from here on.
                 self._positions = None
                 self._positions_ok = None
                 obs.counter(
@@ -302,9 +284,6 @@ class UserArena:
 
     def lookup_many(self, users: Keys) -> np.ndarray:
         return self._interner.lookup_many(users)
-
-    def contains(self, user: object) -> bool:
-        return user in self._interner
 
     # -- positions ----------------------------------------------------------------
 
@@ -390,8 +369,7 @@ class UserArena:
         """Adopt a ``{user: estimate}`` mapping (snapshot-restore seam).
 
         Users are interned in mapping order, so a restored estimator's
-        first-seen order equals the order the snapshot was written in —
-        exactly what assigning a dict to ``_estimates`` used to do.
+        first-seen order equals the order the snapshot was written in.
         """
         self._has_estimate[: self.n_users] = False
         self._estimate_count = 0
@@ -408,7 +386,7 @@ class UserArena:
         self._estimate_count = len(users)
 
     def publish(self, codes: np.ndarray) -> None:
-        """``view.setdefault(user, 0.0)`` for a batch of (unique) codes."""
+        """Publish 0.0 for the not yet published codes of a batch (unique codes)."""
         fresh = codes[~self._has_estimate[codes]]
         if fresh.size:
             self._estimate[fresh] = 0.0
@@ -416,7 +394,7 @@ class UserArena:
             self._estimate_count += int(fresh.size)
 
     def add_estimate(self, user: object, increment: float) -> float:
-        """``view[user] = view.get(user, 0.0) + increment``; returns the sum."""
+        """Add ``increment`` to ``user``'s estimate (0.0 if unpublished); returns the sum."""
         code = self.intern(user)
         base = float(self._estimate[code]) if self._has_estimate[code] else 0.0
         value = base + increment
@@ -434,10 +412,11 @@ class UserArena:
         np.add.at(self._estimate, codes, increments)
 
     def add_estimates_from(self, source: UserArena) -> None:
-        """``view[u] = view.get(u, 0.0) + source[u]`` per published user of ``source``.
+        """Add each published estimate of ``source`` to the same user's here.
 
-        In ``source``'s intern order, so new users are appended in that
-        order: the additive merge of two estimate columns.
+        Users unpublished here start from 0.0.  In ``source``'s intern
+        order, so new users are appended in that order: the additive merge
+        of two estimate columns.
         """
         n = source.n_users
         users = source._interner.keys[:n]
@@ -454,7 +433,7 @@ class UserArena:
         """Published users in intern order, with a copy of their estimates.
 
         The direct column read behind ``estimates()`` and checkpoints: one
-        list slice and one column slice, no per-user view lookups.
+        list slice and one column slice, no per-user lookups.
         """
         n = self.n_users
         keys = self._interner._keys
@@ -468,9 +447,16 @@ class UserArena:
         return self._estimate[:stop]
 
     def estimates_dict(self) -> dict[object, float]:
-        """``dict(view)``, built from :meth:`estimate_columns`."""
+        """``{user: estimate}`` of the published users in intern order."""
         users, values = self.estimate_columns()
         return dict(zip(users, values.tolist()))
+
+    def estimate_of(self, user: object) -> float:
+        """One user's estimate; 0.0 for an unseen or unpublished user."""
+        code = self._interner.lookup(user)
+        if code < 0 or not self._has_estimate[code]:
+            return 0.0
+        return float(self._estimate[code])
 
     def estimate_column(self, users: Keys) -> np.ndarray:
         """float64 estimates of ``users`` in input order, 0.0 where unpublished.
@@ -526,149 +512,3 @@ class UserArena:
         if delta:
             self._reported[1] = current
             self._gauges[1].add(delta)
-
-
-class EstimatesView(MutableMapping):
-    """Dict-shaped live view of the arena's estimate column.
-
-    Implements the full ``MutableMapping`` protocol (so ``dict(view)``,
-    ``view == {...}``, ``view.setdefault`` all behave) plus the vectorised
-    gathers the query engine dispatches on.  Iteration order is intern order
-    filtered by ``has_estimate`` — identical to the insertion order of the
-    dict this view replaced on every estimator path (publish, batch publish,
-    setdefault-merge, snapshot load).  The one divergence: re-publishing
-    after ``del view[user]`` restores the user at its *original* position
-    rather than the end — no estimator path deletes estimates, so nothing
-    observes it (the monitor's score table, where deletion is real, tracks
-    re-insert ranks properly).
-    """
-
-    __slots__ = ("_arena",)
-
-    def __init__(self, arena: UserArena) -> None:
-        self._arena = arena
-
-    def __len__(self) -> int:
-        return self._arena._estimate_count
-
-    def __iter__(self) -> Iterator[object]:
-        arena = self._arena
-        has = arena._has_estimate
-        for code, user in enumerate(arena._interner._keys):
-            if has[code]:
-                yield user
-
-    def __contains__(self, user: object) -> bool:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        return code is not None and bool(arena._has_estimate[code])
-
-    def __getitem__(self, user: object) -> float:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        if code is None or not arena._has_estimate[code]:
-            raise KeyError(user)
-        return float(arena._estimate[code])
-
-    def get(self, user: object, default: Any = None) -> Any:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        if code is None or not arena._has_estimate[code]:
-            return default
-        return float(arena._estimate[code])
-
-    def __setitem__(self, user: object, value: float) -> None:
-        arena = self._arena
-        arena.set_estimate(arena.intern(user), value)
-
-    def setdefault(self, user: object, default: float = 0.0) -> float:
-        arena = self._arena
-        code = arena.intern(user)
-        if not arena._has_estimate[code]:
-            arena.set_estimate(code, default)
-            return default
-        return float(arena._estimate[code])
-
-    def __delitem__(self, user: object) -> None:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        if code is None or not arena._has_estimate[code]:
-            raise KeyError(user)
-        arena._has_estimate[code] = False
-        arena._estimate_count -= 1
-
-    def items(self) -> Any:  # a lazy (user, estimate) generator, not an ItemsView
-        arena = self._arena
-        has = arena._has_estimate
-        estimate = arena._estimate
-        return (
-            (user, float(estimate[code]))
-            for code, user in enumerate(arena._interner._keys)
-            if has[code]
-        )
-
-    def gather_default_zero(self, users: Sequence[object]) -> list[float]:
-        """``[view.get(user, 0.0) for user in users]`` as one column gather."""
-        return self._arena.estimate_column(users).tolist()
-
-
-class PositionsView:
-    """Dict-shaped live view of the arena's positions block.
-
-    Only the surface the estimators and merge helpers actually use:
-    membership, truthiness (``len`` = materialised dense rows, so a freshly
-    restored estimator's cache is falsy exactly like the empty dict was),
-    ``get``/``__getitem__`` returning a row, and iteration over users with
-    materialised rows.
-    """
-
-    __slots__ = ("_arena",)
-
-    def __init__(self, arena: UserArena) -> None:
-        self._arena = arena
-
-    def __len__(self) -> int:
-        return self._arena.positions_cached_count()
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __contains__(self, user: object) -> bool:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        if code is None:
-            return False
-        if arena._positions_ok is None:
-            # Fold mode: every interned user's row is derivable on demand.
-            return True
-        return bool(arena._positions_ok[code])
-
-    def __iter__(self) -> Iterator[object]:
-        arena = self._arena
-        ok = arena._positions_ok
-        for code, user in enumerate(arena._interner._keys):
-            if ok is None or ok[code]:
-                yield user
-
-    def get(self, user: object, default: np.ndarray | None = None) -> np.ndarray | None:
-        arena = self._arena
-        code = arena._interner._codes.get(user)
-        if code is None:
-            return default
-        if arena._positions_ok is not None and not arena._positions_ok[code]:
-            return default
-        return arena.positions_row(code)
-
-    def __getitem__(self, user: object) -> np.ndarray:
-        row = self.get(user)
-        if row is None:
-            raise KeyError(user)
-        return row
-
-    def __setitem__(self, user: object, row: np.ndarray) -> None:
-        arena = self._arena
-        code = arena.intern(user)
-        if arena._positions is not None:
-            assert arena._positions_ok is not None
-            arena._positions[code] = row
-            arena._positions_ok[code] = True

@@ -1,9 +1,9 @@
 """Columnar score table + frozen checkout views for the monitor's top-k.
 
-:class:`ScoreTable` is a drop-in for the ``TopKTracker``'s ``{user: score}``
-dict: the full ``MutableMapping`` protocol with *identical* iteration
-semantics (insertion order; delete-then-reinsert moves a user to the end),
-backed by numpy columns so ranking, thresholds and totals are vectorised:
+:class:`ScoreTable` holds the ``TopKTracker``'s ``{user: score}`` table as
+a read-only ``Mapping`` that iterates like a dict (insertion order; a user
+that leaves the table and comes back moves to the end), backed by numpy
+columns so ranking, thresholds and totals are vectorised:
 
 * ``values``  — float64 score per code;
 * ``present`` — bool membership (codes are permanent, deletion is a flag);
@@ -11,10 +11,9 @@ backed by numpy columns so ranking, thresholds and totals are vectorised:
   rank reproduces dict insertion order exactly, because every insert *and*
   every re-insert takes a fresh rank.
 
-Writes come one key at a time (:meth:`ScoreTable.put`), as a batch of
-columns with the ``put`` loop's semantics (:meth:`ScoreTable.put_many`,
-the incremental top-k path), or as a whole new table
-(:meth:`ScoreTable.replace`, the full refresh).
+Writes come as a batch of columns (:meth:`ScoreTable.put_many`, the
+incremental top-k path: one dict assignment per key, in order) or as a
+whole new table (:meth:`ScoreTable.replace`, the full refresh).
 
 :meth:`checkout` returns a :class:`FrozenScores` — the read-only snapshot
 ``SpreaderMonitor.last_window_estimates`` hands to readers.  Checkout is
@@ -30,7 +29,7 @@ checkouts instead of building its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -39,8 +38,12 @@ from repro.engine.base import hot_path
 from repro.state.interner import UserInterner, int_probes
 
 
-class ScoreTable(MutableMapping):
-    """Mutable mapping of user -> score over interner-coded numpy columns."""
+class ScoreTable(Mapping):
+    """Mapping of user -> score over interner-coded numpy columns.
+
+    Read-only as a mapping: writes go through :meth:`put_many` and
+    :meth:`replace`.
+    """
 
     def __init__(self, initial_capacity: int = 64) -> None:
         self._interner = UserInterner(track_folds=False, initial_capacity=initial_capacity)
@@ -132,54 +135,16 @@ class ScoreTable(MutableMapping):
             return default
         return float(self._values[code])
 
-    def __setitem__(self, user: object, value: float) -> None:
-        self.put(user, value)
-
-    def put(self, user: object, value: float) -> float | None:
-        """Set ``user``'s score; returns the previous score or None if absent.
-
-        The combined get-and-set the tracker's incremental update uses (one
-        interner probe instead of two mapping calls).
-        """
-        interner = self._interner
-        code = interner._codes.get(user)
-        if code is None:
-            code = interner.intern(user)
-            self._ensure_capacity(code)
-            self._prepare_write()
-            self._present[code] = True
-            self._values[code] = value
-            self._rank[code] = self._next_rank
-            self._next_rank += 1
-            self._count += 1
-            self._append_to_order(code)
-            return None
-        self._prepare_write()
-        if self._present[code]:
-            old = float(self._values[code])
-            self._values[code] = value
-            return old
-        # Re-insert after deletion: fresh rank, moves to the end — exactly
-        # what a dict re-insert does.
-        self._present[code] = True
-        self._values[code] = value
-        self._rank[code] = self._next_rank
-        self._next_rank += 1
-        self._count += 1
-        self._order_cache = None
-        self._order_is_identity = False
-        return None
-
     @hot_path
     def put_many(
         self, keys: Sequence[object], values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`put` for each ``keys[i] -> values[i]`` in order (keys unique).
+        """Set ``keys[i] -> values[i]`` in order, as dict assignment would (keys unique).
 
         Returns ``(codes, previous)``: the keys' codes and their previous
-        scores, NaN where a key was absent.  As with the ``put`` loop, new
-        and re-inserted keys take fresh ranks in ``keys`` order (a
-        re-inserted key moves to the end), and present keys keep theirs.
+        scores, NaN where a key was absent.  New and re-inserted keys take
+        fresh ranks in ``keys`` order (a re-inserted key moves to the end),
+        and present keys keep theirs.
         """
         codes = self._interner.intern_many(keys)
         self._ensure_capacity(len(self._interner) - 1)
@@ -209,24 +174,13 @@ class ScoreTable(MutableMapping):
         """The scores of ``codes`` (one column gather)."""
         return self._values[codes]
 
-    def __delitem__(self, user: object) -> None:
-        code = self._interner._codes.get(user)
-        if code is None or not self._present[code]:
-            raise KeyError(user)
-        self._prepare_write()
-        self._present[code] = False
-        self._count -= 1
-        self._order_cache = None
-        self._order_is_identity = False
-
     def replace(self, keys: Sequence[object], values: np.ndarray) -> None:
         """Make the table hold exactly ``keys -> values`` (keys unique).
 
         Same result as deleting every absent key in table order, then
-        putting each key in order: surviving keys keep their rank (their
+        setting each key in order: surviving keys keep their rank (their
         first-seen position), new and re-inserted keys take fresh ranks in
-        ``keys`` order.  One interning pass and a few column writes replace
-        the per-key ``put`` loop of a full refresh.
+        ``keys`` order.  One interning pass and a few column writes.
         """
         codes = self._interner.intern_many(keys)
         self._ensure_capacity(len(self._interner) - 1)
@@ -265,15 +219,6 @@ class ScoreTable(MutableMapping):
 
     # -- ordered access -------------------------------------------------------------
 
-    def _append_to_order(self, code: int) -> None:
-        # Appending would keep a cached order valid (a new code takes the
-        # maximum rank), but growing an ndarray per insert is quadratic over
-        # a bulk refresh — drop the cache and rebuild lazily instead.
-        if self._order_cache is not None:
-            self._order_cache = None
-        if self._order_is_identity and code != self._count - 1:
-            self._order_is_identity = False
-
     def ordered_codes(self) -> np.ndarray:
         """Present codes in insertion (rank) order — the dict iteration order."""
         if self._order_is_identity:
@@ -285,9 +230,6 @@ class ScoreTable(MutableMapping):
             cache = codes[np.argsort(self._rank[codes])]
             self._order_cache = cache
         return cache
-
-    def rank_of(self, user: object) -> int:
-        return int(self._rank[self._interner._codes[user]])
 
     def total(self) -> float:
         """Sum of all scores in insertion order (one vector reduction).

@@ -8,10 +8,11 @@ Every shipped rule is proven *live* three ways, from the fixture corpus in
 * its ``*_suppressed`` fixture is silent **and** leaves no hygiene
   residue — the suppression is used and carries a reason.
 
-Each fixture file names its deploy path in a ``# dest:`` header; the
-harness materialises it inside a throwaway repo root so scope patterns
-(``src/repro/monitor/*.py`` ...) match exactly as they do in this
-repository.  Cross-file rules (RL004/RL006) use fixture *directories*.
+Each fixture file (Python or Markdown) names its deploy path in a
+``# dest:`` header; the harness materialises it inside a throwaway repo
+root so scope patterns (``src/repro/monitor/*.py``,
+``docs/architecture.md`` ...) match exactly as they do in this repository.
+Cross-file rules (RL004/RL006) use fixture *directories*.
 
 :data:`EXPECTED` pins the exact strict-mode count per rule of every
 fixture, and the table and the corpus must match one-to-one.
@@ -66,7 +67,7 @@ EXPECTED: dict[str, dict[str, int]] = {
     "rl005_firing.py": {"RL005": 4},
     "rl005_suppressed.py": {},
     "rl006_clean": {},
-    "rl006_firing": {"RL006": 1},
+    "rl006_firing": {"RL006": 3},
     "rl006_suppressed": {},
     "rl010_clean.py": {},
     "rl010_firing.py": {"RL010": 2},
@@ -79,7 +80,9 @@ def _deploy(case: str, tmp_path: Path) -> Path:
     root = tmp_path / "repo"
     (root / "src" / "repro").mkdir(parents=True)  # the root marker
     source = FIXTURES / case
-    files = [source] if source.is_file() else sorted(source.glob("*.py"))
+    files = [source] if source.is_file() else sorted(
+        path for path in source.iterdir() if path.is_file()
+    )
     for file in files:
         text = file.read_text(encoding="utf-8")
         header = text.splitlines()[0]

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.monitor import MonitorSpec, SnapshotStore, monitor_to_json, replay_feed
+from repro.state import FrozenScores
 from repro.streams import zipf_bipartite_stream
 
 METHODS = ["FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++"]
@@ -89,6 +91,45 @@ class TestKillRestore:
         monitor.observe(tail)
         restored.observe(tail)
         assert restored.window.window_estimates() == monitor.window.window_estimates()
+
+
+class TestRestoredReadSnapshot:
+    @pytest.mark.parametrize(
+        ("method", "shards"),
+        [(method, 1) for method in METHODS] + [("FreeBS", 2)],
+        ids=[*METHODS, "FreeBS-2-shards"],
+    )
+    def test_reads_before_the_first_evaluation_match_the_window(
+        self, stream, method, shards, tmp_path
+    ):
+        """A restored monitor serves its first reads from a score-table checkout.
+
+        Nothing is ingested after the restore, so no evaluation has filled
+        the tracker yet; every query op must still answer exactly what a
+        fresh merge of the restored window reports.
+        """
+        store = SnapshotStore(tmp_path)
+        _run(_spec(method, shards).build(), stream[:2_800], snapshot_store=store)
+        restored = store.restore()
+        expected = restored.window.window_estimates()
+        snapshot = restored.read_snapshot()
+        assert isinstance(snapshot.estimates, FrozenScores)
+        assert list(snapshot.estimates.items()) == list(expected.items())
+        users = list(expected)
+        assert users and all(type(user) is int for user in users)
+        assert [snapshot.spread(user) for user in users] == [expected[u] for u in users]
+        ids = np.array(users, dtype=np.int64)
+        assert snapshot.batch_spread(ids) == [expected[user] for user in users]
+        missing = max(users) + 1
+        probe = [users[0], str(users[1]), missing, users[2]]
+        assert snapshot.batch_spread(probe) == [
+            expected[users[0]], expected[users[1]], 0.0, expected[users[2]]
+        ]
+        k = 2 * restored.top_k
+        ranked = sorted(expected.items(), key=lambda item: item[1], reverse=True)
+        assert len(users) > k
+        assert snapshot.topk(k) == ranked[:k]
+        assert snapshot.stats()["users_tracked"] == len(expected)
 
 
 class TestStore:

@@ -122,17 +122,17 @@ class TestEstimateFreshManyParity:
         ]
 
     @pytest.mark.parametrize("name", ["CSE", "vHLL"])
-    def test_restored_positions_cache_rebuilds(self, stream, name):
-        """Regression: a restored estimator's positions cache starts empty;
-        ``estimate_fresh`` used to answer 0.0 for every user it actually
-        tracks (present only in the serialized estimate table)."""
+    def test_restored_position_rows_rebuild(self, stream, name):
+        """Regression: a restored estimator starts with no materialised
+        position rows; ``estimate_fresh`` used to answer 0.0 for every user
+        it actually tracks (present only in the serialized estimate table)."""
         estimator = _factories()[name]()
         estimator.process(stream)
         fresh_before = {
             user: estimator.estimate_fresh(user) for user in estimator.estimates()
         }
         restored = loads(dumps(estimator))
-        assert not restored._positions_cache
+        assert restored._arena.positions_cached_count() == 0
         for user, value in fresh_before.items():
             assert restored.estimate_fresh(user) == value, f"stale for {user!r}"
         users = list(fresh_before)

@@ -1,12 +1,12 @@
 """The columnar user-state arena: dict-parity, snapshots, growth, gauges.
 
-The arena contract (:mod:`repro.state`): every dict-shaped view over the
-numpy columns behaves exactly like the Python dict it replaced — key-type
-duality (``7`` vs ``"7"``), insertion-order iteration, delete-then-reinsert
-moving a key to the end — and every positions row is bit-identical whether
-it comes from the dense block, a fold-mode recompute, or
-``HashFamily.positions`` directly.  On top of that sit the scale behaviours
-the dicts never had: amortised-doubling growth that preserves row identity
+The arena contract (:mod:`repro.state`): the column API holds exactly what
+a Python dict written the same way would — key-type duality (``7`` vs
+``"7"``), insertion-order iteration, and for the score table a key that
+leaves and comes back moving to the end — and every positions row is
+bit-identical whether it comes from the dense block, a fold-mode
+recompute, or ``HashFamily.positions`` directly.  On top of that sit the
+scale behaviours the dicts never had: amortised-doubling growth that preserves row identity
 under a concurrently ingesting writer, O(1) copy-on-write score checkouts,
 and occupancy gauges in the process metrics registry.
 """
@@ -34,6 +34,11 @@ _SETTINGS = settings(max_examples=25, deadline=None)
 def _arena(m=16, M=1 << 12, **kwargs) -> UserArena:
     family = HashFamily(m, M, seed=7)
     return UserArena(m=m, family=family, **kwargs)
+
+
+def _put(table: ScoreTable, keys, values) -> np.ndarray:
+    """``table[key] = value`` per pair, in order; returns the previous scores."""
+    return table.put_many(list(keys), np.asarray(values, dtype=np.float64))[1]
 
 
 class TestInterner:
@@ -106,7 +111,9 @@ class TestInterner:
 class TestArenaPositions:
     @pytest.mark.parametrize("mode", ["dense", "fold"])
     def test_rows_bit_identical_to_family(self, mode):
-        arena = _arena(positions=mode)
+        # A dense limit below the initial capacity starts in fold mode.
+        arena = _arena(dense_limit=DENSE_POSITIONS_LIMIT if mode == "dense" else 0)
+        assert arena.positions_mode == mode
         family = arena._family
         users = [1, "u2", (3, 4), b"five", -6]
         codes = arena.intern_many(users)
@@ -117,7 +124,7 @@ class TestArenaPositions:
             np.testing.assert_array_equal(arena.positions_row(code), row)
 
     def test_auto_switches_dense_to_fold_and_rows_survive(self):
-        arena = _arena(positions="auto", dense_limit=64, initial_capacity=8)
+        arena = _arena(dense_limit=64, initial_capacity=8)
         family = arena._family
         users = list(range(200))
         before = {
@@ -142,7 +149,7 @@ class TestArenaPositions:
         through several doublings (row identity is positional — a grow copies
         columns but never moves a code), and reads racing a block swap see a
         consistent row either way."""
-        arena = _arena(positions="dense", initial_capacity=4)
+        arena = _arena(initial_capacity=4)
         family = arena._family
         captured = {
             user: arena.positions_row(arena.intern(user)).copy()
@@ -175,12 +182,12 @@ class TestArenaPositions:
             np.testing.assert_array_equal(row, family.positions(user))
 
 
-class TestEstimatesViewDictParity:
+class TestEstimateColumnDictParity:
     @_SETTINGS
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["set", "del", "setdefault", "get"]),
+                st.sampled_from(["set", "add", "publish", "get"]),
                 st.sampled_from([1, 2, "2", (3,), b"b", True]),
                 st.floats(0, 100, allow_nan=False),
             ),
@@ -188,41 +195,35 @@ class TestEstimatesViewDictParity:
         )
     )
     def test_random_op_sequences_match_a_plain_dict(self, ops):
+        """Every write an estimator makes, against the dict write it stands for."""
         arena = _arena()
-        view = arena.estimates
         reference = {}
         for op, key, value in ops:
             if op == "set":
-                view[key] = value
+                arena.set_estimate(arena.intern(key), value)
                 reference[key] = value
-            elif op == "del":
-                if key in reference:
-                    del view[key]
-                    del reference[key]
-                else:
-                    with pytest.raises(KeyError):
-                        del view[key]
-            elif op == "setdefault":
-                assert view.setdefault(key, value) == reference.setdefault(key, value)
+            elif op == "add":
+                assert arena.add_estimate(key, value) == reference.get(key, 0.0) + value
+                reference[key] = reference.get(key, 0.0) + value
+            elif op == "publish":
+                arena.publish(arena.intern_many([key]))
+                reference.setdefault(key, 0.0)
             else:
-                assert view.get(key) == reference.get(key)
-            assert dict(view.items()) == reference
-            assert len(view) == len(reference)
-        # Iteration order parity binds on the estimator paths (no deletion):
-        # without dels the view's intern order IS dict insertion order.
-        if not any(op == "del" for op, _key, _value in ops):
-            assert list(view) == list(reference)
-            assert list(view.items()) == list(reference.items())
+                assert arena.estimate_of(key) == reference.get(key, 0.0)
+            assert list(arena.estimates_dict().items()) == list(reference.items())
+            users, values = arena.estimate_columns()
+            assert (users, values.tolist()) == (list(reference), list(reference.values()))
 
-    def test_gather_default_zero_matches_scalar_gets(self):
+    def test_estimate_column_matches_scalar_reads(self):
         arena = _arena()
-        view = arena.estimates
-        for user in [4, 9, "9", (1, 2)]:
-            view[user] = float(hash(user) % 50)
-        probes = [4, 9, "9", (1, 2), "missing", 123]
-        assert view.gather_default_zero(probes) == [
-            view.get(user, 0.0) for user in probes
-        ]
+        reference = {4: 1.0, 9: 2.0, "9": 3.0, (1, 2): 4.0}
+        for user, value in reference.items():
+            arena.set_estimate(arena.intern(user), value)
+        arena.intern("interned, never published")
+        probes = [4, 9, "9", (1, 2), "missing", 123, "interned, never published"]
+        expected = [reference.get(user, 0.0) for user in probes]
+        assert arena.estimate_column(probes).tolist() == expected
+        assert [arena.estimate_of(user) for user in probes] == expected
 
 
 class TestLoadEstimates:
@@ -234,27 +235,24 @@ class TestLoadEstimates:
         arena = _arena()
         mapping = {7: 1.0, "7": 2.0, b"raw": 3.0, ("t", 1): 4.0, -3: 5.0}
         arena.load_estimates(mapping)
-        view = arena.estimates
-        assert dict(view.items()) == mapping
         # Intern order == mapping insertion order (restored estimators must
         # keep the snapshot's first-seen order).
-        assert list(view) == list(mapping)
+        assert list(arena.estimates_dict().items()) == list(mapping.items())
 
     def test_reload_clears_entries_absent_from_the_new_mapping(self):
         arena = _arena()
         arena.load_estimates({1: 1.0, 2: 2.0, 3: 3.0})
         arena.load_estimates({2: 9.0})
-        view = arena.estimates
-        assert dict(view.items()) == {2: 9.0}
-        assert len(view) == 1
-        assert view.get(1) is None and view.get(3) is None
+        assert arena.estimates_dict() == {2: 9.0}
+        assert arena.estimate_column([1, 2, 3]).tolist() == [0.0, 9.0, 0.0]
+        assert [arena.estimate_of(user) for user in (1, 2, 3)] == [0.0, 9.0, 0.0]
 
     def test_empty_mapping_clears_everything(self):
         arena = _arena()
         arena.load_estimates({4: 4.0, 5: 5.0})
         arena.load_estimates({})
-        assert len(arena.estimates) == 0
-        assert dict(arena.estimates.items()) == {}
+        assert arena.estimates_dict() == {}
+        assert arena.estimate_columns()[0] == []
 
     def test_matches_per_item_view_assignment(self):
         rng = np.random.default_rng(9)
@@ -264,9 +262,10 @@ class TestLoadEstimates:
         loaded, assigned = _arena(), _arena()
         loaded.load_estimates(mapping)
         for user, value in mapping.items():
-            assigned.estimates[user] = value
-        assert dict(loaded.estimates.items()) == dict(assigned.estimates.items())
-        assert list(loaded.estimates) == list(assigned.estimates)
+            assigned.set_estimate(assigned.intern(user), value)
+        assert list(loaded.estimates_dict().items()) == list(
+            assigned.estimates_dict().items()
+        )
 
 
 class TestEstimatorKeyDuality:
@@ -320,9 +319,7 @@ class TestScoreTable:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["put", "del", "replace"]),
-                st.integers(0, 10),
-                st.floats(0, 1000, allow_nan=False),
+                st.sampled_from(["put", "replace"]),
                 st.lists(
                     st.tuples(st.integers(0, 10), st.floats(0, 1000, allow_nan=False)),
                     unique_by=lambda entry: entry[0],
@@ -335,28 +332,25 @@ class TestScoreTable:
     def test_matches_dict_semantics_including_reinsert_order(self, ops):
         table = ScoreTable()
         reference = {}
-        for op, key, value, entries in ops:
+        for op, entries in ops:
+            keys = [user for user, _ in entries]
+            scores = [score for _, score in entries]
+            frozen = table.checkout()
+            before = list(table.items())
             if op == "put":
-                old = table.put(key, value)
-                assert old == reference.get(key)
-                reference[key] = value
-            elif op == "replace":
-                frozen = table.checkout()
-                before = list(table.items())
-                table.replace(
-                    [user for user, _ in entries],
-                    np.array([score for _, score in entries], dtype=np.float64),
-                )
-                # Reference: delete absent keys in table order, then put each key.
-                wanted = dict(entries)
-                for user in [user for user in reference if user not in wanted]:
+                previous = _put(table, keys, scores)
+                assert [None if np.isnan(old) else old for old in previous.tolist()] == [
+                    reference.get(user) for user in keys
+                ]
+                reference.update(entries)
+            else:
+                table.replace(keys, np.array(scores, dtype=np.float64))
+                # Reference: delete absent keys in table order, then set each
+                # key; a deleted key that comes back later moves to the end.
+                for user in [user for user in reference if user not in keys]:
                     del reference[user]
-                for user, score in entries:
-                    reference[user] = score
-                assert list(frozen.items()) == before  # the checkout is isolated
-            elif key in reference:
-                del table[key]
-                del reference[key]
+                reference.update(entries)
+            assert list(frozen.items()) == before  # the checkout is isolated
             assert list(table.items()) == list(reference.items())
             assert table.total() == (
                 float(np.sum(np.asarray(list(reference.values())))) if reference else 0.0
@@ -369,30 +363,27 @@ class TestScoreTable:
     def test_top_codes_equal_stable_sort(self):
         table = ScoreTable()
         values = [5.0, 3.0, 5.0, 1.0, 9.0, 3.0]
-        for user, value in enumerate(values):
-            table.put(user, value)
-        expected = sorted(
-            table.items(), key=lambda item: (-item[1], table.rank_of(item[0]))
-        )[:3]
+        _put(table, range(len(values)), values)
+        # Users were inserted in key order, so a stable sort breaks ties by rank.
+        expected = sorted(table.items(), key=lambda item: -item[1])[:3]
         assert [
             (table.key_at(c), table.value_at(c)) for c in table.top_codes(3)
         ] == expected
 
     def test_threshold_candidates_preserve_insertion_order(self):
         table = ScoreTable()
-        for user, value in [("a", 5.0), ("b", 1.0), ("c", 7.0), ("d", 5.0)]:
-            table.put(user, value)
+        _put(table, ["a", "b", "c", "d"], [5.0, 1.0, 7.0, 5.0])
         assert table.threshold_candidates(5.0) == [("a", 5.0), ("c", 7.0), ("d", 5.0)]
 
     def test_checkout_is_isolated_from_later_writes(self):
         table = ScoreTable()
-        for user in range(8):
-            table.put(user, float(user))
+        _put(table, range(8), range(8))
         frozen = table.checkout()
         expected = dict(table.items())
-        table.put(3, 99.0)
-        table.put(100, 1.0)
-        del table[5]
+        _put(table, [3, 100], [99.0, 1.0])
+        kept = [user for user in table if user != 5]
+        table.replace(kept, np.array([table[user] for user in kept]))
+        assert 5 not in table
         assert dict(frozen.items()) == expected
         assert frozen.get(3) == 3.0
         assert frozen.get(100) is None
@@ -406,8 +397,7 @@ class TestScoreTable:
         for spacing in (1, 10**6):
             table = ScoreTable()
             ids = [spacing * user for user in range(8)]
-            for user in ids:
-                table.put(user, float(user))
+            _put(table, ids, ids)
             before = table.checkout()
             assert before.gather_exact(ids) == [float(user) for user in ids]
             late = [spacing * user for user in range(100, 300)]
@@ -419,7 +409,7 @@ class TestScoreTable:
             assert (index.table is not None) == (spacing == 1)
             assert after.gather_exact([100 * spacing, 299 * spacing]) == [100.0, 299.0]
             assert before.gather_exact(ids + [100 * spacing]) is None
-            table.put(350 * spacing, 8.0)
+            _put(table, [350 * spacing], [8.0])
             latest = table.checkout()
             if spacing == 1:
                 assert table._interner.published_int_index().table is index.table
@@ -427,19 +417,17 @@ class TestScoreTable:
             assert latest.gather_exact([350 * spacing, 100 * spacing]) == [8.0, 100.0]
         # Non-int keys keep the dict path.
         table = ScoreTable()
-        table.put("a", 1.0)
-        table.put(("t", 1), 2.0)
+        _put(table, ["a", ("t", 1)], [1.0, 2.0])
         frozen = table.checkout()
         assert table._interner.published_int_index() is None
         assert frozen.gather_exact(["a", ("t", 1)]) == [1.0, 2.0]
-        table.put("b", 3.0)
+        _put(table, ["b"], [3.0])
         assert frozen.gather_exact(["b"]) is None
         assert table.checkout().gather_exact(["b", "a"]) == [3.0, 1.0]
 
     def test_checkout_survives_concurrent_writer(self):
         table = ScoreTable()
-        for user in range(64):
-            table.put(user, float(user))
+        _put(table, range(64), range(64))
         frozen = table.checkout()
         expected = [float(user) for user in range(64)]
         stop = threading.Event()
@@ -449,8 +437,7 @@ class TestScoreTable:
             user = 64
             try:
                 while not stop.is_set():
-                    table.put(user, float(user))
-                    table.put(user % 64, float(user))
+                    _put(table, [user, user % 64], [user, user])
                     user += 1
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -521,8 +508,7 @@ class TestScoreTable:
 
     def test_gather_exact_miss_returns_none(self):
         table = ScoreTable()
-        table.put(1, 1.0)
-        table.put(2, 2.0)
+        _put(table, [1, 2], [1.0, 2.0])
         frozen = table.checkout()
         assert frozen.gather_exact([1, 2]) == [1.0, 2.0]
         assert frozen.gather_exact([1, 3]) is None
@@ -536,9 +522,9 @@ class TestArenaLifecycle:
 
         arena = _arena()
         for user in [1, "two", (3,), b"four"]:
-            arena.estimates[user] = float(len(str(user)))
+            arena.set_estimate(arena.intern(user), float(len(str(user))))
         for restored in (copy.deepcopy(arena), pickle.loads(pickle.dumps(arena))):
-            assert dict(restored.estimates.items()) == dict(arena.estimates.items())
+            assert restored.estimates_dict() == arena.estimates_dict()
             assert restored.users() == arena.users()
             np.testing.assert_array_equal(
                 restored.positions_row(0), arena.positions_row(0)
