@@ -35,8 +35,8 @@ Three subcommands:
     (:mod:`repro.monitor`): epoch-rotating windowed sketches, sliding-window
     top-k spreader tracking, hysteresis alerts, and periodic state
     snapshots.  Emits a JSONL feed of window estimates and alert events to
-    stdout and (append-mode) to ``--out``.  ``--resume`` restores the latest
-    snapshot from ``--snapshot-dir`` and fast-forwards the stream past the
+    stdout and (append-mode) to ``--out``.  ``--resume`` restores the newest
+    loadable snapshot from ``--snapshot-dir`` and fast-forwards the stream past the
     pairs it already saw — the kill/restore story for long replays.
 
     ``--engine`` selects the update path: ``batch`` (default) replays the
@@ -59,8 +59,8 @@ Three subcommands:
     :class:`~repro.monitor.spreader.SpreaderMonitor`.
     Queries answer from a versioned read snapshot refreshed every
     ``--refresh-every`` batches, so concurrent readers never block ingest.
-    With ``--snapshot-dir --resume`` the monitor is restored from the latest
-    checkpoint first; without an edge file the restored state is served
+    With ``--snapshot-dir --resume`` the monitor is restored from the newest
+    loadable checkpoint first; without an edge file the restored state is served
     statically.  Readiness (and the bound port, with the default ``--port
     0``) is announced as a ``{"type": "serving", ...}`` JSONL record on
     stdout.
@@ -222,7 +222,7 @@ def _monitor_spec_from_args(args: argparse.Namespace, stream) -> object:
 
 
 def _restore_monitor_for_resume(args: argparse.Namespace, snapshot_store):
-    """Shared ``--resume`` path: restore the latest checkpoint or exit clearly."""
+    """Shared ``--resume`` path: restore the newest loadable checkpoint or exit clearly."""
     from repro.monitor import SnapshotError
 
     if snapshot_store is None:
@@ -235,7 +235,7 @@ def _restore_monitor_for_resume(args: argparse.Namespace, snapshot_store):
         # traceback; name the file and the way out, exit non-zero.
         raise SystemExit(f"--resume failed: {error}") from None
     print(
-        f"# resumed from {snapshot_store.latest()} at pair "
+        f"# resumed from {snapshot_store.restored_path} at pair "
         f"{monitor.window.pairs_ingested}",
         flush=True,
     )
@@ -597,7 +597,7 @@ def _add_monitor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="restore the latest snapshot from --snapshot-dir and continue",
+        help="restore the newest loadable snapshot from --snapshot-dir and continue",
     )
 
 

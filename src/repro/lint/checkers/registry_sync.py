@@ -11,8 +11,9 @@ cross-file rule closes the loop:
 * every ``MethodSpec`` name has a dump/load entry in
   ``core/serialization.py``'s ``_METHOD_STATE_CODECS`` table;
 * every ``MethodSpec.tag`` is exercised by ``tests/test_serialization.py``
-  (the round-trip suite), which must also cover every accepted format
-  version (v1 / v2 / v3 — ``_ACCEPTED_VERSIONS``);
+  (the round-trip suite), which must also mention every accepted format
+  version (``v1``, ``v2``, … — read from the ``_ACCEPTED_VERSIONS`` literal
+  in ``core/serialization.py``);
 * every ``OpSpec.request_arrays`` / ``result_arrays`` *kind* is a key of
   ``service/frames.py``'s ``_KIND_DTYPES`` (the binary transport can
   actually lift it);
@@ -64,6 +65,20 @@ def _dict_literal_keys(tree: ast.Module, variable: str) -> set[str] | None:
                 if isinstance(key, ast.Constant) and isinstance(key.value, str)
             }
     return None
+
+
+def _int_literals(tree: ast.Module, variable: str) -> list[int]:
+    """Sorted int constants in the literal assigned to ``variable``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == variable for t in node.targets
+        ):
+            return sorted(
+                constant.value
+                for constant in ast.walk(node.value)
+                if isinstance(constant, ast.Constant) and type(constant.value) is int
+            )
+    return []
 
 
 def _spec_calls(tree: ast.Module, class_name: str) -> list[ast.Call]:
@@ -152,8 +167,10 @@ class RegistrySyncChecker(Checker):
                         hint="add a round-trip test for the new kind",
                     )
                 )
+        accepted = _int_literals(serialization.tree, "_ACCEPTED_VERSIONS")
+        versions = [f"v{number}" for number in accepted]
         if test_source:
-            for version in ("v1", "v2", "v3"):
+            for version in versions:
                 if version not in test_source:
                     findings.append(
                         Finding(
@@ -163,7 +180,7 @@ class RegistrySyncChecker(Checker):
                             rule=self.rule,
                             message=(
                                 f"serialization round-trip tests never mention {version} "
-                                "(accepted format versions are v1/v2/v3)"
+                                f"(accepted format versions are {'/'.join(versions)})"
                             ),
                             hint="keep a load test for every accepted envelope version",
                         )

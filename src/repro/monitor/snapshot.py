@@ -9,9 +9,11 @@ mid-stream restores the latest snapshot and continues exactly where it left
 off: the restored monitor produces the same window estimates and the same
 alert feed as an uninterrupted run (the test-suite asserts this).
 
-Snapshot format: one JSON document per checkpoint, written atomically
-(temp file + rename), named ``snapshot-<pairs_ingested>.json`` so the
-resume offset is visible in a directory listing.  The envelope is versioned
+Snapshot format: one JSON document per checkpoint, written atomically and
+durably (temp file, fsync, rename, fsync of the directory), named
+``snapshot-<pairs_ingested>.json`` so the resume offset is visible in a
+directory listing.  Restoring without a path falls back past retained
+files that fail to load, newest first.  The envelope is versioned
 independently of the estimator envelopes it embeds; see
 ``docs/monitoring.md`` for the compatibility rules.
 """
@@ -131,6 +133,8 @@ class SnapshotStore:
             raise ValueError("keep must be non-negative")
         self.directory = Path(directory)
         self.keep = keep
+        #: The file the last successful :meth:`restore` read.
+        self.restored_path: Path | None = None
 
     def paths(self) -> list[Path]:
         """Existing snapshot files, oldest first (by resume offset)."""
@@ -153,14 +157,27 @@ class SnapshotStore:
         return paths[-1] if paths else None
 
     def save(self, monitor: SpreaderMonitor) -> Path:
-        """Checkpoint the monitor; return the snapshot path."""
+        """Checkpoint the monitor; return the snapshot path.
+
+        The file's data reaches the disk before the rename publishes it, and
+        the rename before ``save`` returns: after a power loss the snapshot
+        is either complete or absent, never a renamed empty file.
+        """
         with obs.timed(obs.histogram("monitor.snapshot.save_seconds")):
             self.directory.mkdir(parents=True, exist_ok=True)
             payload = monitor_to_json(monitor)
             path = self.directory / f"snapshot-{monitor.window.pairs_ingested:012d}.json"
             temp = path.with_suffix(".json.tmp")
-            temp.write_text(json.dumps(payload), encoding="utf-8")
+            with open(temp, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload))
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp, path)
+            directory = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
             if self.keep:
                 for stale in self.paths()[: -self.keep]:
                     stale.unlink()
@@ -173,27 +190,48 @@ class SnapshotStore:
         return path
 
     def restore(self, path: PathLike | None = None) -> SpreaderMonitor:
-        """Rebuild a monitor from a snapshot (default: the latest one).
+        """Rebuild a monitor from a snapshot (default: the newest loadable one).
+
+        With no ``path`` the retained files are tried newest first: one that
+        fails to load is skipped, logged as ``snapshot_restore_fallback`` and
+        counted in ``monitor.snapshot.fallbacks``.  If every file fails, the
+        newest file's error is raised.  An explicit ``path`` never falls
+        back.  :attr:`restored_path` names the file the monitor came from.
 
         Raises :class:`SnapshotError` — naming the path and the recovery
         options — when the file is missing, truncated, or not a monitor
         snapshot.
         """
-        if path is None:
-            path = self.latest()
-            if path is None:
-                raise SnapshotError(
-                    None,
-                    f"no snapshot files found in {self.directory}",
-                    "start a fresh run without --resume (snapshots are written "
-                    "there once --snapshot-every is set), or point --snapshot-dir "
-                    "at the directory that holds them",
+        if path is not None:
+            return self._restore_file(Path(path))
+        candidates = self.paths()[::-1]
+        if not candidates:
+            raise SnapshotError(
+                None,
+                f"no snapshot files found in {self.directory}",
+                "start a fresh run without --resume (snapshots are written "
+                "there once --snapshot-every is set), or point --snapshot-dir "
+                "at the directory that holds them",
+            )
+        failures: list[SnapshotError] = []
+        for candidate in candidates:
+            try:
+                monitor = self._restore_file(candidate)
+            except SnapshotError as error:
+                failures.append(error)
+                continue
+            if failures:
+                obs.counter("monitor.snapshot.fallbacks").add()
+                _log.warning(
+                    "snapshot_restore_fallback",
+                    skipped=[str(failure.path) for failure in failures],
+                    restored=str(candidate),
                 )
-        path = Path(path)
-        recovery = (
-            "delete the file to fall back to the previous retained snapshot, "
-            "or start a fresh run without --resume"
-        )
+            return monitor
+        raise failures[0]
+
+    def _restore_file(self, path: Path) -> SpreaderMonitor:
+        recovery = "restore an older snapshot by path, or start a fresh run without --resume"
         with obs.timed(obs.histogram("monitor.snapshot.load_seconds")):
             try:
                 text = path.read_text(encoding="utf-8")
@@ -222,4 +260,5 @@ class SnapshotStore:
                 ) from error
         obs.counter("monitor.snapshot.loads").add()
         _log.info("snapshot_restored", path=str(path))
+        self.restored_path = path
         return monitor

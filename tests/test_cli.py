@@ -181,18 +181,42 @@ class TestMonitorCommand:
         assert "no snapshot files found" in message
         assert str(snapshot_dir) in message
 
-    def test_monitor_resume_truncated_snapshot_exits_with_clear_error(self, tmp_path):
+    def test_monitor_resume_truncated_snapshot_exits_with_clear_error(self, tmp_path, capsys):
+        import json
+
         path = self._dataset(tmp_path)
         snapshot_dir = tmp_path / "snaps"
         args = [
-            "monitor", str(path), "--epoch-pairs", "400",
+            "monitor", str(path), "--epoch-pairs", "400", "--batch-size", "200",
             "--memory-bits", str(1 << 14),
             "--snapshot-dir", str(snapshot_dir), "--snapshot-every", "2",
         ]
+        capsys.readouterr()
         assert main(args) == 0
-        latest = sorted(snapshot_dir.glob("snapshot-*.json"))[-1]
+        reference = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        *older, previous, latest = sorted(snapshot_dir.glob("snapshot-*.json"))
+        offset = int(previous.stem.split("-")[1])
         text = latest.read_text(encoding="utf-8")
         latest.write_text(text[: len(text) // 3], encoding="utf-8")
+
+        # A truncated newest snapshot: the resume falls back to the previous
+        # file and the feed continues from that file's offset.
+        assert main(args + ["--resume"]) == 0
+        banner, _note, *lines = capsys.readouterr().out.splitlines()
+        assert banner == f"# resumed from {previous} at pair {offset}"
+        resumed = [json.loads(line) for line in lines]
+        assert any(record["type"] == "window" for record in resumed)
+        *feed, summary = resumed
+        assert feed == reference[-len(resumed):-1]
+        # The summary's emitted counts cover this run only; the state matches.
+        for key in ("pairs_ingested", "epochs_started", "active_spreaders", "top"):
+            assert summary[key] == reference[-1][key]
+
+        # Every retained snapshot truncated: exit with a clear error that
+        # names the newest file.
+        for snapshot in [*older, previous, latest]:
+            text = snapshot.read_text(encoding="utf-8")
+            snapshot.write_text(text[: len(text) // 3], encoding="utf-8")
         with pytest.raises(SystemExit) as excinfo:
             main(args + ["--resume"])
         message = str(excinfo.value)

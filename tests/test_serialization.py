@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import FreeBS, FreeRS
 from repro.core import serialization
 from repro.baselines import CSE, ExactCounter, PerUserHLLPP, PerUserLPC, VirtualHLL
 from repro.engine import ShardedEstimator
+from repro.experiments.config import ExperimentConfig
+from repro.registry import REGISTRY, build
 
 
 def _feed(estimator, pairs):
@@ -68,7 +74,9 @@ class TestErrorsAndFormat:
 
     def test_rejects_unknown_version(self):
         payload = serialization.dumps(FreeBS(1 << 10))
-        tampered = payload.replace('"version": 3', '"version": 99')
+        current = f'"version": {serialization._FORMAT_VERSION}'
+        assert current in payload
+        tampered = payload.replace(current, '"version": 99')
         with pytest.raises(ValueError):
             serialization.loads(tampered)
 
@@ -92,8 +100,6 @@ class TestObjectEnvelopes:
     re-parse round-trip per estimator."""
 
     def test_to_obj_matches_dumps_and_from_obj_loads_it(self):
-        import json
-
         estimator = _feed(FreeRS(1 << 9, seed=3), _pairs(1_000, seed=5))
         envelope = serialization.to_obj(estimator)
         assert envelope == json.loads(serialization.dumps(estimator))
@@ -180,79 +186,152 @@ class TestVersion2Kinds:
         assert restored.estimates() == estimator.estimates()
 
 
-class TestCrossVersionLoads:
-    """Older envelopes (v1/v2) must stay loadable by the v3 codec table.
+GOLDEN_DIR = Path(__file__).parent / "fixtures" / "snapshots_v3"
+REGISTRY_TAGS = [spec.tag for spec in REGISTRY.values()]
+GOLDEN_KINDS = [*REGISTRY_TAGS, "Sharded-FreeBS-2"]
 
-    The loader accepts every version in ``_ACCEPTED_VERSIONS``; a payload
-    whose envelope says ``version: 1`` differs from today's only in that
-    number, so for every registry tag we rewrite the header and assert the
-    load is byte-for-byte equivalent to the current-version load.  A
-    corrupted header (wrong format string, unknown kind, truncated body)
-    must be rejected with a clear error, never half-loaded.
+
+def _golden_pairs(count, seed):
+    rng = random.Random(seed)
+    return [(rng.randint(0, 39), rng.randint(0, 400)) for _ in range(count)]
+
+
+def _golden_reference(kind):
+    """Rebuild the estimator a golden envelope was written from.
+
+    Every ``tests/fixtures/snapshots_v3/v3-<kind>.json`` holds the format-v3
+    envelope of this estimator: ``memory_bits=1 << 12``, seed 3, 40 users,
+    fed ``_golden_pairs(1_200, seed=5)`` pair by pair.
+    """
+    if kind == "Sharded-FreeBS-2":
+        estimator = ShardedEstimator(lambda _k: FreeBS(1 << 12, seed=3), shards=2, seed=3)
+    else:
+        name = next(name for name, spec in REGISTRY.items() if spec.tag == kind)
+        config = ExperimentConfig(memory_bits=1 << 12, seed=3)
+        estimator = build(name, config, expected_users=40)
+    return _feed(estimator, _golden_pairs(1_200, seed=5))
+
+
+def _golden(kind):
+    return json.loads((GOLDEN_DIR / f"v3-{kind}.json").read_text(encoding="utf-8"))
+
+
+def _relabel(envelope, version, triples=False):
+    """``envelope`` under another version label, sub-envelopes included.
+
+    With ``triples`` the columnar estimates become the triple list that
+    v1/v2 envelopes carry (they must be base85, as in a v3 golden).
+    """
+    envelope = dict(envelope, version=version)
+    if envelope["kind"] == "Sharded":
+        subs = [_relabel(sub, version, triples) for sub in envelope["body"]["sub"]]
+        envelope["body"] = dict(envelope["body"], sub=subs)
+    elif triples and isinstance(envelope["estimates"], dict):
+        columns = serialization._estimates_from_payload(envelope["estimates"], base64.b85decode)
+        envelope["estimates"] = serialization._estimates_to_json(columns)
+    return envelope
+
+
+def _arrays(estimator):
+    """Shared bit words / register values, or every user's private sketch."""
+    if isinstance(estimator, ShardedEstimator):
+        return [_arrays(shard) for shard in estimator.shards]
+    if hasattr(estimator, "_sketches"):  # LPC / HLL++: one sketch per user
+        return [(user, _arrays(sketch)) for user, sketch in estimator._sketches.items()]
+    if getattr(estimator, "_sparse", None) is not None:  # a sparse HLL++ sketch
+        return list(estimator._sparse.items())
+    if hasattr(estimator, "_bits"):
+        return estimator._bits._words.tolist(), estimator._bits.ones
+    return estimator._registers.values.tolist()
+
+
+def _assert_same_state(restored, reference):
+    assert list(restored.estimates().items()) == list(reference.estimates().items())
+    assert _arrays(restored) == _arrays(reference)
+
+
+def _assert_loads_identically(envelope, kind):
+    """The envelope restores the golden estimator and continues like it."""
+    reference = _golden_reference(kind)
+    restored = serialization.loads(json.dumps(envelope))
+    _assert_same_state(restored, reference)
+    batch = _golden_pairs(600, seed=6)
+    restored.update_batch(batch)
+    reference.update_batch(batch)
+    _assert_same_state(restored, reference)
+
+
+class TestCrossVersionLoads:
+    """Old envelopes load to the state they were written from.
+
+    The v3 goldens under ``tests/fixtures/snapshots_v3`` were written by the
+    format-v3 (base85) codec; v1 and v2 share that array encoding, so a v3
+    golden relabelled v1 or v2 is a real old payload.  A v4 body under an
+    older label (or the reverse) must be rejected, never half-loaded.
     """
 
-    def _registry_estimators(self):
-        from repro.experiments.config import ExperimentConfig
-        from repro.registry import REGISTRY, build
-
-        config = ExperimentConfig(memory_bits=1 << 12, seed=3)
-        for name, spec in REGISTRY.items():
-            estimator = _feed(build(name, config, expected_users=40), _pairs(1_200, seed=5))
-            yield spec.tag, estimator
+    @pytest.mark.parametrize("kind", GOLDEN_KINDS)
+    def test_v3_golden_loads_identically(self, kind):
+        envelope = _golden(kind)
+        assert envelope["version"] == 3
+        _assert_loads_identically(envelope, kind)
 
     def test_v1_payloads_load_for_every_registry_tag(self):
-        import json
-
-        seen_tags = []
-        for tag, estimator in self._registry_estimators():
-            envelope = json.loads(serialization.dumps(estimator))
-            assert envelope["kind"] == tag
-            envelope["version"] = 1
-            restored = serialization.loads(json.dumps(envelope))
-            assert restored.estimates() == estimator.estimates(), (
-                f"v1 payload of kind {tag} did not restore identically"
-            )
-            seen_tags.append(tag)
-        from repro.registry import REGISTRY
-
-        assert seen_tags == [spec.tag for spec in REGISTRY.values()]
+        for kind in REGISTRY_TAGS:
+            envelope = _relabel(_golden(kind), 1)
+            assert envelope["kind"] == kind
+            _assert_loads_identically(envelope, kind)
 
     def test_v2_payloads_load_for_every_registry_tag(self):
-        import json
+        # Version-2 envelopes predate the columnar estimates: a triple list.
+        for kind in REGISTRY_TAGS:
+            envelope = _relabel(_golden(kind), 2, triples=True)
+            assert isinstance(envelope["estimates"], list)
+            _assert_loads_identically(envelope, kind)
 
-        # Version-2 envelopes (pre-columnar estimates) differ from v3 in the
-        # estimates body: a triple list, never the columnar dict.  Rewriting
-        # the header *and* downgrading the payload exercises the shape
-        # dispatch in _estimates_from_payload.
-        for tag, estimator in self._registry_estimators():
-            envelope = json.loads(serialization.dumps(estimator))
-            envelope["version"] = 2
-            if isinstance(envelope["estimates"], dict):
-                envelope["estimates"] = serialization._estimates_to_json(
-                    estimator.estimates()
-                )
-            restored = serialization.loads(json.dumps(envelope))
-            assert restored.estimates() == estimator.estimates(), (
-                f"v2 payload of kind {tag} did not restore identically"
-            )
+    def test_v1_sharded_envelope_loads(self):
+        _assert_loads_identically(_relabel(_golden("Sharded-FreeBS-2"), 1), "Sharded-FreeBS-2")
 
-    def test_v3_columnar_estimates_payload_round_trips(self):
-        import json
+    @pytest.mark.parametrize("kind", GOLDEN_KINDS)
+    def test_mislabelled_array_encoding_is_rejected(self, kind):
+        # A base64 body read as base85 can decode without error, to more
+        # bytes than the array holds: the length check must refuse it.
+        current = serialization.to_obj(_golden_reference(kind))
+        assert current["version"] == 4
+        with pytest.raises(ValueError):
+            serialization.from_obj(_relabel(current, 3))
+        with pytest.raises(ValueError):
+            serialization.from_obj(_relabel(_golden(kind), 4))
 
-        # v3's headline change: pure-int user populations ship as two base85
-        # columns.  Assert the wire form is actually columnar, and that it
-        # restores the exact dict (including key *types* — ints, not strs).
+    @pytest.mark.parametrize("size", [7, 9], ids=["short", "surplus"])
+    def test_decoded_array_must_fill_exactly_count_items(self, size):
+        payload = base64.b64encode(bytes(size)).decode("ascii")
+        decode = serialization._array_decoder(4)
+        with pytest.raises(ValueError, match="expected 8"):
+            serialization._decode_array(payload, decode, np.uint64, 1)
+
+    def test_v4_envelopes_are_columnar_and_round_trip(self):
+        # Pure-int user populations ship as two columns; the restore must
+        # return the exact dict, key *types* included (ints, not strs).
         estimator = _feed(FreeBS(1 << 12, seed=3), _pairs(2_000, seed=11))
         envelope = json.loads(serialization.dumps(estimator))
-        assert envelope["version"] == 3
+        assert envelope["version"] == 4
         assert envelope["estimates"]["encoding"] == "columnar-i64"
         restored = serialization.from_obj(envelope)
         assert restored.estimates() == estimator.estimates()
         assert all(type(user) is int for user in restored.estimates())
 
-    def test_v3_mixed_keys_fall_back_to_triples(self):
-        import json
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "2-shard"])
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_v4_round_trip_is_byte_identical(self, name, shards):
+        config = ExperimentConfig(memory_bits=1 << 12, seed=3)
+        estimator = _feed(
+            build(name, config, expected_users=40, shards=shards), _golden_pairs(1_200, seed=5)
+        )
+        payload = serialization.dumps(estimator)
+        assert serialization.dumps(serialization.loads(payload)) == payload
 
+    def test_v3_mixed_keys_fall_back_to_triples(self):
         estimator = FreeBS(1 << 10, seed=1)
         estimator.update("alice", "x")
         estimator.update(42, "y")
@@ -263,23 +342,7 @@ class TestCrossVersionLoads:
         restored = serialization.from_obj(envelope)
         assert set(restored.estimates()) == {"alice", 42, b"raw", ("t", 7)}
 
-    def test_v1_sharded_envelope_loads(self):
-        import json
-
-        estimator = _feed(
-            ShardedEstimator(lambda _k: VirtualHLL(1 << 9, virtual_size=64, seed=3), shards=2),
-            _pairs(1_500, seed=6),
-        )
-        envelope = json.loads(serialization.dumps(estimator))
-        envelope["version"] = 1
-        for sub in envelope["body"]["sub"]:
-            sub["version"] = 1
-        restored = serialization.loads(json.dumps(envelope))
-        assert restored.estimates() == estimator.estimates()
-
     def test_corrupted_header_rejections(self):
-        import json
-
         estimator = _feed(FreeBS(1 << 10, seed=3), _pairs(400, seed=7))
         envelope = json.loads(serialization.dumps(estimator))
 
@@ -297,7 +360,6 @@ class TestCrossVersionLoads:
 
     def test_truncated_payload_rejected(self):
         payload = serialization.dumps(_feed(FreeRS(1 << 9, seed=3), _pairs(400, seed=8)))
-        import json
 
         with pytest.raises(json.JSONDecodeError):
             serialization.loads(payload[: len(payload) // 2])
