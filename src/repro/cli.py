@@ -253,7 +253,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.monitor import SnapshotStore, replay_feed
 
     stream = read_edge_file(args.path)
-    timestamps = stream.timestamps() if stream.has_timestamps else None
     snapshot_store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     if args.snapshot_every and snapshot_store is None:
         raise SystemExit("--snapshot-every requires --snapshot-dir")
@@ -271,8 +270,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     try:
         for record in replay_feed(
             monitor,
-            stream.pairs(),
-            timestamps=timestamps,
+            stream,
+            timestamps=stream.timestamp_array(),
             batch_size=args.batch_size,
             rate=args.rate,
             snapshot_store=snapshot_store,
@@ -330,12 +329,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.resume:
         monitor = _restore_monitor_for_resume(args, snapshot_store)
 
-    pairs = None
-    timestamps = None
+    stream = None
     if args.path is not None:
         stream = read_edge_file(args.path)
-        pairs = stream.pairs()
-        timestamps = stream.timestamps() if stream.has_timestamps else None
         if monitor is None:
             monitor = _monitor_spec_from_args(args, stream).build()
 
@@ -346,8 +342,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(
             serve_monitor(
                 monitor,
-                pairs=pairs,
-                timestamps=timestamps,
+                pairs=stream,
+                timestamps=None if stream is None else stream.timestamp_array(),
                 host=args.host,
                 port=args.port,
                 batch_size=args.batch_size,

@@ -78,6 +78,19 @@ def supports_batch(estimator: object) -> bool:
     return callable(getattr(estimator, "update_batch", None))
 
 
+def supports_encoded(estimator: object) -> bool:
+    """True if ``estimator`` takes an :class:`EncodedBatch` (``update_encoded``).
+
+    A batch carries item folds, not items, so an estimator with only the
+    scalar ``update`` cannot take one; a sharded estimator can when every
+    shard can.
+    """
+    shards = getattr(estimator, "shards", None)
+    if shards is not None:
+        return all(supports_encoded(shard) for shard in shards)
+    return callable(getattr(estimator, "update_encoded", None))
+
+
 def process_stream(
     estimator: Any, stream: Iterable[UserItemPair], chunk_size: int | None = None
 ) -> Any:

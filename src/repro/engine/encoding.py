@@ -58,6 +58,19 @@ def _as_exact_array(values: Sequence[object] | np.ndarray, name: str) -> np.ndar
     )
 
 
+def _first_seen_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` in first-seen order, and each value's code.
+
+    ``codes[k]`` indexes the returned uniques, so ``uniques[codes]`` equals
+    ``values``: the dense numbering a dict built in arrival order gives.
+    """
+    uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return uniques[order], rank[inverse.reshape(-1)]
+
+
 def seed_mix(seed: int) -> np.uint64:
     """Return ``splitmix64(seed)`` as a ``uint64`` scalar (hash-seed premix).
 
@@ -139,6 +152,24 @@ class EncodedBatch:
             users=users,
         )
 
+    def slice(self, start: int, stop: int) -> EncodedBatch:
+        """Return the pairs ``start:stop`` as a batch of their own.
+
+        The part lists its users in its own first-seen order, so it equals
+        :meth:`from_pairs` of the same pairs field for field.  (A
+        :meth:`subset` keeps the parent's order instead, which is the
+        part's own only when whole users are selected.)  Used to split a
+        batch at an epoch rotation.
+        """
+        codes = self.user_codes[start:stop]
+        parent_codes, part_codes = _first_seen_codes(codes)
+        return EncodedBatch(
+            user_codes=part_codes,
+            user_hashes=self.user_hashes[parent_codes],
+            item_hashes=self.item_hashes[start:stop],
+            users=[self.users[code] for code in parent_codes.tolist()],
+        )
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -169,7 +200,10 @@ class EncodedBatch:
     def from_int_arrays(cls, users: np.ndarray, items: np.ndarray) -> EncodedBatch:
         """Vectorised encoding for streams of integer users and items.
 
-        Accepts signed, unsigned and ``object`` (big Python int) arrays; the
+        Users are listed in first-seen order, as :meth:`from_pairs` lists
+        them, and are Python ints: the result equals ``from_pairs`` of the
+        same pairs field for field.  Accepts signed, unsigned and ``object``
+        (big Python int) arrays; the
         folds match the scalar path for every representable id, including
         negative and ``>= 2**63`` values (see :func:`repro.hashing.fold_key_array`).
         Float arrays are rejected: they cannot represent 64-bit ids exactly,
@@ -182,13 +216,13 @@ class EncodedBatch:
         if users.ndim != 1:
             raise ValueError("users and items must be one-dimensional")
         item_folds = fold_key_array(items)
-        unique_users, codes = np.unique(users, return_inverse=True)
-        user_folds = fold_key_array(unique_users)
+        unique_users, codes = _first_seen_codes(users)
+        keys = unique_users.tolist()
         return cls(
-            user_codes=codes.astype(np.int64),
-            user_hashes=user_folds,
+            user_codes=codes,
+            user_hashes=fold_key_array(unique_users),
             item_hashes=item_folds,
-            users=[int(user) for user in unique_users],
+            users=keys if unique_users.dtype.kind in "iu" else [int(key) for key in keys],
         )
 
 

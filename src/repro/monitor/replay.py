@@ -22,14 +22,17 @@ past the pairs a restored snapshot has already seen.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import time
+
+import numpy as np
 
 from repro.monitor.snapshot import SnapshotStore
 from repro.monitor.spreader import SpreaderMonitor
 from repro.monitor.view import wire_user as _json_user
 from repro.monitor.window import Epoch
+from repro.runtime.handle import stream_batches
 
 UserItemPair = tuple[object, object]
 
@@ -50,7 +53,7 @@ def _window_record(monitor: SpreaderMonitor, epoch: Epoch) -> dict[str, object]:
         "users": len(epoch_estimates),
         "tumbling_top": _top_to_json(tumbling_top[: monitor.top_k]),
         "sliding_top": _top_to_json(monitor.current_top),
-        "sliding_total_estimate": round(float(sum(window_estimates.values())), 3),
+        "sliding_total_estimate": round(window_estimates.total(), 3),
         "enter_threshold": round(monitor.last_enter_threshold, 3),
         "active_spreaders": [_json_user(user) for user in monitor.active_spreaders],
         "exactness": monitor.window.window_exactness(),
@@ -59,15 +62,20 @@ def _window_record(monitor: SpreaderMonitor, epoch: Epoch) -> dict[str, object]:
 
 def replay_feed(
     monitor: SpreaderMonitor,
-    pairs: Sequence[UserItemPair],
-    timestamps: Sequence[float] | None = None,
+    pairs: Iterable[UserItemPair],
+    timestamps: Sequence[float] | np.ndarray | None = None,
     batch_size: int = 2048,
     rate: float | None = None,
     snapshot_store: SnapshotStore | None = None,
     snapshot_every: int = 0,
     skip_pairs: int = 0,
 ) -> Iterator[dict[str, object]]:
-    """Replay ``pairs`` through ``monitor``; yield the JSONL feed records."""
+    """Replay ``pairs`` through ``monitor``; yield the JSONL feed records.
+
+    The batches are those of :func:`~repro.runtime.handle.stream_batches`:
+    a column-backed :class:`~repro.streams.GraphStream` is encoded one
+    column slice at a time.
+    """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     if rate is not None and rate <= 0:
@@ -76,21 +84,10 @@ def replay_feed(
         raise ValueError("snapshot_every must be non-negative")
     if snapshot_every and snapshot_store is None:
         raise ValueError("snapshot_every requires a snapshot_store")
-    pairs = list(pairs)
-    if timestamps is not None:
-        timestamps = [float(value) for value in timestamps]
-        if len(timestamps) != len(pairs):
-            raise ValueError("timestamps must have one entry per pair")
-    if skip_pairs:
-        pairs = pairs[skip_pairs:]
-        timestamps = None if timestamps is None else timestamps[skip_pairs:]
-
     batches_done = 0
     alerts_emitted = 0
     windows_emitted = 0
-    for start in range(0, len(pairs), batch_size):
-        batch = pairs[start : start + batch_size]
-        batch_times = None if timestamps is None else timestamps[start : start + batch_size]
+    for batch, batch_times in stream_batches(pairs, timestamps, batch_size, start=skip_pairs):
         closed = monitor.window.ingest(batch, batch_times)
         alerts = monitor.evaluate()
         for epoch in closed:

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.engine.base import hot_path
+from repro.engine.encoding import EncodedBatch
 from repro.monitor.merge import ADDITIVE, additive_rescore, as_columns, merge_exactness
 from repro.monitor.topk import TopKTracker
-from repro.monitor.window import WindowedEstimator
+from repro.monitor.window import Batch, WindowedEstimator
 from repro.state import FrozenScores, ScoreTable
-
-UserItemPair = tuple[object, object]
 
 _log = obs.get_logger("monitor.spreader")
 
@@ -133,30 +131,40 @@ class SpreaderMonitor:
 
     def observe(
         self,
-        pairs: Sequence[UserItemPair],
-        timestamps: Sequence[float] | None = None,
+        batch: Batch,
+        timestamps: Sequence[float] | np.ndarray | None = None,
     ) -> list[AlertEvent]:
         """Ingest one batch, re-evaluate the window, return new alert events.
 
+        ``batch`` is an :class:`~repro.engine.EncodedBatch` or (user, item)
+        pairs, which are encoded once (see
+        :meth:`WindowedEstimator.prepare`); ``timestamps`` is an optional
+        array of arrival times, one per pair.
+
         Between epoch rotations, methods with *additive* sliding merges
         (FreeBS/FreeRS, sharded included) take the incremental path: only
-        the users touched by this batch are re-scored (their windowed
-        estimate is the left-fold sum of their per-epoch estimates — one
-        estimate-column gather per epoch), and the continuous top-k absorbs
-        just those updates.  Any rotation, and every exact-merge method,
-        falls back to the full re-evaluation in :meth:`evaluate`.  Both
-        paths produce bit-identical estimates, key order and top-k
-        (asserted by the property suite).
+        the users touched by this batch (``batch.users``, first-seen) are
+        re-scored (their windowed estimate is the left-fold sum of their
+        per-epoch estimates — one estimate-column gather per epoch), and
+        the continuous top-k absorbs just those updates.  Any rotation, and
+        every exact-merge method, falls back to the full re-evaluation in
+        :meth:`evaluate`.  Both paths produce bit-identical estimates, key
+        order and top-k (asserted by the property suite).
         """
-        pairs = list(pairs)  # may be a generator; it is iterated twice below
-        touched = list(dict.fromkeys(map(operator.itemgetter(0), pairs)))
+        batch = self.window.prepare(batch)
         # Ingest that bypassed observe() (direct window.ingest calls) makes
         # the tracker's score table stale for users this batch did not touch;
         # detect it and fall back to a full re-evaluation.
         stale = self.window.pairs_ingested != self._pairs_seen
-        closed = self.window.ingest(pairs, timestamps)
-        if not closed and not stale and self._primed and self._can_increment():
-            return self._evaluate_incremental(touched)
+        closed = self.window.ingest(batch, timestamps)
+        if (
+            isinstance(batch, EncodedBatch)
+            and not closed
+            and not stale
+            and self._primed
+            and self._can_increment()
+        ):
+            return self._evaluate_incremental(batch.users)
         return self.evaluate()
 
     def _can_increment(self) -> bool:

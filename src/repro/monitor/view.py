@@ -187,8 +187,12 @@ class ReadSnapshot:
         return [(user, float(value)) for user, value in self.ranked[:k]]
 
     def total_estimate(self) -> float:
-        """Sum of the sliding-window estimates (the paper's ``n(t)``)."""
-        return float(sum(self.estimates.values()))
+        """Sum of the sliding-window estimates (the paper's ``n(t)``).
+
+        The score table's own reduction, so ``delta * total_estimate()`` is
+        exactly the delta enter threshold of the same state.
+        """
+        return self.estimates.total()
 
     def stats(self) -> dict[str, object]:
         """JSON-ready summary of the snapshot (the ``stats`` op's core)."""

@@ -22,19 +22,23 @@ to ``epoch_pairs=n`` on a gap-free stream.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 from repro.core.base import CardinalityEstimator
-from repro.engine.base import supports_batch
+from repro.engine.base import supports_encoded
+from repro.engine.encoding import EncodedBatch
 from repro.monitor.merge import merge_exactness, merged_copy, merged_estimates
 
 UserItemPair = tuple[object, object]
+#: One ingest batch: an encoded batch, or (user, item) pairs.
+Batch = EncodedBatch | Iterable[UserItemPair]
 
 _log = obs.get_logger("monitor.window")
 
@@ -125,6 +129,9 @@ class WindowedEstimator:
         self._regressions = 0
         self._last_timestamp: float | None = None
         self._ring.append(self._new_epoch())
+        #: Whether the epoch estimators take encoded batches; scalar-only
+        #: estimators (``update`` alone) take the pairs one at a time.
+        self._encoded = supports_encoded(self._ring[-1].estimator)
 
     # -- construction helpers --------------------------------------------------
 
@@ -171,71 +178,107 @@ class WindowedEstimator:
 
     # -- ingestion -------------------------------------------------------------
 
+    def prepare(self, batch: Batch) -> EncodedBatch | list[UserItemPair]:
+        """``batch`` in the form the epoch estimators take.
+
+        Pairs are encoded once (:meth:`EncodedBatch.from_pairs`) for
+        estimators with ``update_encoded``, and stay pairs for scalar-only
+        ones, which cannot take an :class:`EncodedBatch` (``TypeError``):
+        a batch carries item folds, not items.
+        """
+        if isinstance(batch, EncodedBatch):
+            if not self._encoded:
+                name = type(self._ring[-1].estimator).__name__
+                raise TypeError(
+                    f"{name} takes (user, item) pairs, not an EncodedBatch: "
+                    "an encoded batch carries item folds, not items"
+                )
+            return batch
+        pairs = batch if isinstance(batch, list) else list(batch)
+        return EncodedBatch.from_pairs(pairs) if self._encoded else pairs
+
     def ingest(
         self,
-        pairs: Sequence[UserItemPair],
-        timestamps: Sequence[float] | None = None,
+        batch: Batch,
+        timestamps: Sequence[float] | np.ndarray | None = None,
     ) -> list[Epoch]:
         """Absorb a batch of pairs; return the epochs closed along the way.
 
-        ``timestamps`` should be non-decreasing and not precede previously
-        ingested pairs; when omitted, the monotonic event index is used.  A
-        timestamp that regresses — within the batch, against an earlier
-        batch, or because a timestamped batch preceded an untimestamped one —
-        is clamped to the newest timestamp already seen (so the pair lands
-        in the live epoch) and counted in :attr:`regressions`; with
-        ``strict_timestamps=True`` it raises ``ValueError`` instead.
+        ``batch`` is an :class:`EncodedBatch` or (user, item) pairs (see
+        :meth:`prepare`).  ``timestamps`` should be non-decreasing and not
+        precede previously ingested pairs; when omitted, the monotonic
+        event index is used.  A timestamp that regresses — within the
+        batch, against an earlier batch, or because a timestamped batch
+        preceded an untimestamped one — is clamped to the newest timestamp
+        already seen (so the pair lands in the live epoch) and counted in
+        :attr:`regressions`; with ``strict_timestamps=True`` it raises
+        ``ValueError`` instead.  A rotation inside the batch splits it in
+        pair order (:meth:`EncodedBatch.slice`).
         """
-        pairs = list(pairs)
+        batch = self.prepare(batch)
+        count = len(batch)
         if timestamps is None:
             base = self._pairs_ingested
-            timestamps = [float(base + offset) for offset in range(len(pairs))]
+            times = np.arange(base, base + count, dtype=np.float64)
         else:
-            timestamps = [float(value) for value in timestamps]
-            if len(timestamps) != len(pairs):
+            times = np.array(timestamps, dtype=np.float64)
+            if times.shape != (count,):
                 raise ValueError("timestamps must have one entry per pair")
-        timestamps = self._normalize_timestamps(timestamps)
-        if not pairs:
+        self._normalize_timestamps(times)
+        if count == 0:
             return []
         if self.epoch_span is not None and self._ring[-1].start_time is None:
             # Anchor the epoch grid at the stream's first timestamp.
-            self._ring[-1].start_time = timestamps[0]
+            self._ring[-1].start_time = float(times[0])
         closed: list[Epoch] = []
         position = 0
-        while position < len(pairs):
-            take = self._pairs_until_rotation(timestamps, position)
+        while position < count:
+            take = self._pairs_until_rotation(times, position)
             if take == 0:
-                closed.extend(self._rotate(timestamps[position]))
+                closed.extend(self._rotate(float(times[position])))
                 continue
-            self._feed(
-                pairs[position : position + take],
-                timestamps[position : position + take],
-            )
+            self._feed(batch, position, position + take, times)
             position += take
         return closed
 
-    def _normalize_timestamps(self, timestamps: list[float]) -> list[float]:
-        """Clamp (or, in strict mode, reject) regressed arrival timestamps.
+    def _normalize_timestamps(self, times: np.ndarray) -> None:
+        """Clamp (or, in strict mode, reject) regressed arrival timestamps in place.
 
-        The rotation logic (`bisect_left` over the batch, the live-epoch
-        boundary test) assumes a non-decreasing arrival clock; a regressed
-        timestamp would silently land its pair in the wrong epoch, so it is
-        pinned to the newest timestamp already seen — time stands still and
-        the pair stays in the live epoch.
+        The rotation logic (the sorted search over the batch, the
+        live-epoch boundary test) assumes a non-decreasing arrival clock; a
+        regressed timestamp would silently land its pair in the wrong
+        epoch, so it is pinned to the newest timestamp already seen — time
+        stands still and the pair stays in the live epoch.  "Newest" is the
+        latest pair that was not itself clamped; nothing compares below a
+        NaN, so the clock restarts after one, and each NaN-free run is
+        clamped on its own.
         """
         previous = self._last_timestamp
+        bound = math.nan if previous is None else float(previous)
         clamped = 0
-        for position, value in enumerate(timestamps):
-            if previous is not None and value < previous:
+        begin = 0
+        for end in [*np.flatnonzero(np.isnan(times)).tolist(), times.size]:
+            run = times[begin:end]
+            clock = np.maximum.accumulate(run)
+            if not math.isnan(bound):
+                np.maximum(clock, bound, out=clock)
+            regressed = run < clock
+            if regressed.any():
+                # The newest pair not clamped before each pair, -1 for the
+                # bound: its value is what the pair is clamped to.
+                source = np.maximum.accumulate(np.where(regressed, -1, np.arange(run.size)))
                 if self.strict_timestamps:
+                    first = int(np.argmax(regressed))
+                    prior = bound if first == 0 else float(run[first - 1])
                     raise ValueError(
                         "timestamps must be non-decreasing across the stream "
-                        f"(got {value} after {previous})"
+                        f"(got {float(run[first])} after {prior})"
                     )
-                timestamps[position] = previous
-                clamped += 1
-            else:
-                previous = value
+                source = source[regressed]
+                run[regressed] = np.where(source >= 0, run[np.maximum(source, 0)], bound)
+                clamped += int(np.count_nonzero(regressed))
+            bound = math.nan  # the NaN at ``end`` restarts the clock
+            begin = end + 1
         self._regressions += clamped
         if clamped:
             obs.counter("monitor.timestamp_regressions").add(clamped)
@@ -244,31 +287,39 @@ class WindowedEstimator:
                 clamped=clamped,
                 total_regressions=self._regressions,
             )
-        return timestamps
 
-    def _pairs_until_rotation(self, timestamps: Sequence[float], position: int) -> int:
+    def _pairs_until_rotation(self, times: np.ndarray, position: int) -> int:
         """How many pairs from ``position`` still fit in the live epoch."""
         live = self._ring[-1]
-        remaining = len(timestamps) - position
+        remaining = times.size - position
         if self.epoch_pairs is not None:
             return min(remaining, self.epoch_pairs - live.pairs)
         boundary = live.start_time + self.epoch_span
-        return bisect_left(timestamps, boundary, position) - position
+        if math.isnan(boundary):
+            return 0  # no timestamp compares below NaN
+        return int(np.searchsorted(times[position:], boundary, side="left"))
 
-    def _feed(self, chunk: Sequence[UserItemPair], chunk_times: Sequence[float]) -> None:
+    def _feed(
+        self,
+        batch: EncodedBatch | list[UserItemPair],
+        start: int,
+        stop: int,
+        times: np.ndarray,
+    ) -> None:
         live = self._ring[-1]
         if live.start_time is None:
-            live.start_time = chunk_times[0]
+            live.start_time = float(times[start])
         estimator = live.estimator
-        if supports_batch(estimator):
-            estimator.update_batch(list(chunk))
+        if isinstance(batch, EncodedBatch):
+            whole = start == 0 and stop == len(batch)
+            estimator.update_encoded(batch if whole else batch.slice(start, stop))
         else:
-            for user, item in chunk:
+            for user, item in batch[start:stop]:
                 estimator.update(user, item)
-        live.pairs += len(chunk)
-        live.end_time = chunk_times[-1]
-        self._pairs_ingested += len(chunk)
-        self._last_timestamp = chunk_times[-1]
+        live.pairs += stop - start
+        live.end_time = float(times[stop - 1])
+        self._pairs_ingested += stop - start
+        self._last_timestamp = live.end_time
 
     def _rotate(self, next_timestamp: float) -> list[Epoch]:
         """Close the live epoch (plus any empty grid epochs) and start a new one."""

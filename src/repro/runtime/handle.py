@@ -22,14 +22,21 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import threading
 import time
 
+import numpy as np
+
 from repro import obs
+from repro.engine.encoding import EncodedBatch
+from repro.streams.stream import GraphStream
 
 UserItemPair = tuple[object, object]
 
 _log = obs.get_logger("runtime.ingest")
 
-#: One ingest batch: the pairs plus their (optional) arrival timestamps.
-IngestBatch = tuple[Sequence[UserItemPair], Sequence[float] | None]
+#: One ingest batch: the pairs (or their encoding) plus their optional
+#: arrival timestamps.
+IngestBatch = tuple[
+    Sequence[UserItemPair] | EncodedBatch, Sequence[float] | np.ndarray | None
+]
 
 
 def batch_slices(
@@ -48,13 +55,54 @@ def batch_slices(
         yield chunk, times
 
 
+def stream_batches(
+    pairs: Iterable[UserItemPair],
+    timestamps: Sequence[float] | np.ndarray | None = None,
+    batch_size: int = 2048,
+    start: int = 0,
+) -> Iterator[IngestBatch]:
+    """Lazy ingest batches of a stream, from pair ``start`` on.
+
+    The batches are those of ``batch_slices(pairs[start:],
+    timestamps[start:], batch_size)``, made one at a time.  A column-backed
+    :class:`~repro.streams.GraphStream` (an integer edge file) yields each
+    batch as one :meth:`EncodedBatch.from_int_arrays` of its column slices,
+    so none of its pairs becomes a Python object; any other stream yields
+    its pairs.  Encoding reads only the columns, so it may run outside the
+    ingest lock.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    columns = pairs.to_int_arrays() if isinstance(pairs, GraphStream) and pairs.columnar else None
+    if columns is None and not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)
+    total = len(pairs)
+    if timestamps is not None and len(timestamps) != total:
+        raise ValueError("timestamps must have one entry per pair")
+
+    def batches() -> Iterator[IngestBatch]:
+        for begin in range(start, total, batch_size):
+            end = begin + batch_size
+            times = None if timestamps is None else timestamps[begin:end]
+            if columns is None:
+                yield pairs[begin:end], times
+            else:
+                users, items = columns
+                yield EncodedBatch.from_int_arrays(users[begin:end], items[begin:end]), times
+
+    return batches()
+
+
 class IngestHandle:
     """Feed batches to a sink on a daemon thread, under a shared lock.
 
     Parameters
     ----------
     batches:
-        Iterable of ``(pairs, timestamps)`` batches (see :func:`batch_slices`).
+        Iterable of ``(pairs, timestamps)`` batches (see :func:`batch_slices`
+        and :func:`stream_batches`); the pairs may be an
+        :class:`~repro.engine.EncodedBatch`.  The next batch is taken from
+        the iterable before the lock is.
     sink:
         Called with each batch's ``(pairs, timestamps)`` while :attr:`lock`
         is held — typically ``SpreaderMonitor.observe``.
@@ -73,7 +121,10 @@ class IngestHandle:
     def __init__(
         self,
         batches: Iterable[IngestBatch],
-        sink: Callable[[Sequence[UserItemPair], Sequence[float] | None], object],
+        sink: Callable[
+            [Sequence[UserItemPair] | EncodedBatch, Sequence[float] | np.ndarray | None],
+            object,
+        ],
         lock: threading.Lock | None = None,
         on_batch: Callable[[int], None] | None = None,
         rate: float | None = None,
@@ -216,17 +267,22 @@ class IngestHandle:
 
 def ingest_handle_for_monitor(
     monitor,
-    pairs: Sequence[UserItemPair],
-    timestamps: Sequence[float] | None = None,
+    pairs: Iterable[UserItemPair],
+    timestamps: Sequence[float] | np.ndarray | None = None,
     batch_size: int = 2048,
     rate: float | None = None,
     on_batch: Callable[[int], None] | None = None,
     lock: threading.Lock | None = None,
+    start: int = 0,
 ) -> IngestHandle:
-    """Build (without starting) a handle replaying a stream into a monitor."""
-    batches: list[IngestBatch] = list(batch_slices(pairs, timestamps, batch_size))
+    """Build (without starting) a handle replaying a stream into a monitor.
 
-    def sink(batch_pairs, batch_times):
-        monitor.observe(batch_pairs, batch_times)
+    Ingest begins at pair ``start`` (a restored monitor's resume offset);
+    the batches are made lazily by :func:`stream_batches`.
+    """
+    batches = stream_batches(pairs, timestamps, batch_size, start)
+
+    def sink(batch, batch_times):
+        monitor.observe(batch, batch_times)
 
     return IngestHandle(batches, sink, lock=lock, on_batch=on_batch, rate=rate)

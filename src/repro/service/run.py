@@ -13,9 +13,11 @@ relies on.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import asyncio
+
+import numpy as np
 
 from repro import obs
 from repro.monitor.snapshot import SnapshotStore
@@ -35,8 +37,8 @@ def _null_announce(_record: dict[str, object]) -> None:
 
 async def serve_monitor(
     monitor: SpreaderMonitor,
-    pairs: Sequence[UserItemPair] | None = None,
-    timestamps: Sequence[float] | None = None,
+    pairs: Iterable[UserItemPair] | None = None,
+    timestamps: Sequence[float] | np.ndarray | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
     batch_size: int = 2048,
@@ -49,6 +51,12 @@ async def serve_monitor(
     metrics_port: int | None = None,
 ) -> None:
     """Serve ``monitor`` over TCP, optionally ingesting ``pairs`` meanwhile.
+
+    ``pairs`` (with optional ``timestamps``) is ingested from the monitor's
+    resume offset on, in lazily made batches of ``batch_size``
+    (:func:`~repro.runtime.handle.stream_batches`): a column-backed
+    :class:`~repro.streams.GraphStream` reaches the monitor as one encoded
+    batch per column slice.
 
     Runs until cancelled.  On cancellation the ingest thread is stopped, a
     final checkpoint is written when a ``snapshot_store`` is configured,
@@ -94,12 +102,13 @@ async def serve_monitor(
 
         handle = ingest_handle_for_monitor(
             monitor,
-            pairs[skip:],
-            timestamps=None if timestamps is None else timestamps[skip:],
+            pairs,
+            timestamps=timestamps,
             batch_size=batch_size,
             rate=rate,
             on_batch=on_batch,
             lock=service.lock,
+            start=skip,
         )
         service.attach_ingest(handle)
 

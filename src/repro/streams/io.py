@@ -16,13 +16,23 @@ when every line has a numeric third field and the sequence is
 non-decreasing — the property actual timestamps have and weights almost
 never do; anything else is ignored, preserving the historical "extra
 fields are ignored" behaviour.
+
+:func:`read_edge_file` reads an all-integer, whitespace-separated file with
+``np.loadtxt`` into ``int64`` columns (plus a ``float64`` timestamp column),
+which is what lets the served path encode whole column slices instead of
+Python tuples.  It takes that route only for files whose rows the column
+parse reproduces exactly, and reads every other file with its line parser;
+both give the same pairs and timestamps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from repro.streams.stream import GraphStream
 
@@ -63,12 +73,8 @@ def iter_edge_file(
         yield user, item
 
 
-def _iter_rows(
-    path: PathLike,
-    separator: str | None,
-    as_int: bool,
-) -> Iterator[tuple]:
-    """Yield ``(user, item, timestamp_or_None)`` rows; None = no numeric third field."""
+def _iter_fields(path: PathLike, separator: str | None) -> Iterator[list[str]]:
+    """Yield the fields of every data line (blank and ``#`` lines skipped)."""
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -79,14 +85,24 @@ def _iter_rows(
                 raise ValueError(
                     f"{path}:{line_number}: expected at least two fields, got {stripped!r}"
                 )
-            timestamp = None
-            if len(fields) >= 3:
-                try:
-                    timestamp = float(fields[2])
-                except ValueError:
-                    pass
-            user, item = _parse_endpoints(fields[0], fields[1], as_int)
-            yield user, item, timestamp
+            yield fields
+
+
+def _iter_rows(
+    path: PathLike,
+    separator: str | None,
+    as_int: bool,
+) -> Iterator[tuple]:
+    """Yield ``(user, item, timestamp_or_None)`` rows; None = no numeric third field."""
+    for fields in _iter_fields(path, separator):
+        timestamp = None
+        if len(fields) >= 3:
+            try:
+                timestamp = float(fields[2])
+            except ValueError:
+                pass
+        user, item = _parse_endpoints(fields[0], fields[1], as_int)
+        yield user, item, timestamp
 
 
 def iter_timed_edge_file(
@@ -118,7 +134,23 @@ def read_edge_file(
     (``stream.has_timestamps``).  Two-column files, and files whose third
     column is some other attribute (a weight, a label), produce a plain
     stream whose :meth:`~GraphStream.timestamps` default to the event index.
+
+    An all-integer, whitespace-separated file comes back as a column-backed
+    stream (:meth:`GraphStream.from_columns`); any other file is read line
+    by line.  The pairs, timestamps and errors are the same either way.
     """
+    name = name or Path(path).stem
+    if as_int and separator is None:
+        stream = _read_int_columns(path, name)
+        if stream is not None:
+            return stream
+    return _read_lines(path, separator, as_int, name)
+
+
+def _read_lines(
+    path: PathLike, separator: str | None, as_int: bool, name: str
+) -> GraphStream:
+    """The line parser: one row at a time, any keys, exact error lines."""
     pairs = []
     timestamps = []
     attach = True
@@ -131,8 +163,76 @@ def read_edge_file(
         timestamps.append(timestamp)
     return GraphStream(
         pairs,
-        name=name or Path(path).stem,
+        name=name,
         timestamps=timestamps if attach and timestamps else None,
+    )
+
+
+#: Bytes the line parser strips or splits on that ``np.loadtxt`` does too.
+_BLANK = frozenset(b" \t\r\n\f\v")
+
+#: The column parse: whitespace-separated, ``#`` ends a row.
+_LOADTXT = {"comments": "#", "encoding": "utf-8"}
+
+
+def _comments_alike(data: bytes) -> bool:
+    """True when no ``#`` follows a non-blank byte.
+
+    ``np.loadtxt`` ends a row at any ``#``; the line parser skips lines
+    that start with one and otherwise reads ``#`` as part of a field.  A
+    ``#`` at a line start or after whitespace begins either a comment line
+    or a field that only a ``float()`` of the third field would look at,
+    and there both parsers agree (or the column parse fails and falls back).
+    """
+    position = data.find(b"#")
+    while position != -1:
+        if position and data[position - 1] not in _BLANK:
+            return False
+        position = data.find(b"#", position + 1)
+    return True
+
+
+def _read_int_columns(path: PathLike, name: str) -> GraphStream | None:
+    """The file as ``int64`` columns, or None where the line parser must read it.
+
+    ``np.loadtxt`` accepts a subset of what ``int()``/``float()`` accept
+    (no ``1_000``, no Unicode digits, nothing beyond ``int64``) and gives
+    the same value wherever it accepts a field, so a file it parses whole,
+    with the line parser's column count and comments, has the same rows.
+    Anything else — a parse error, a warning (empty input), rows with
+    another field count — returns None.
+    """
+    with open(path, "rb") as handle:
+        if not _comments_alike(handle.read()):
+            return None
+    try:
+        first = next(_iter_fields(path, None), None)
+        if first is None:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if len(first) == 2:
+                table = np.loadtxt(path, dtype=np.int64, ndmin=2, **_LOADTXT)
+                users, items, times = table[:, 0], table[:, 1], None
+            else:
+                # Fields past the third are ignored, as the line parser does.
+                table = np.loadtxt(
+                    path,
+                    dtype=[("user", np.int64), ("item", np.int64), ("time", np.float64)],
+                    usecols=(0, 1, 2),
+                    ndmin=1,
+                    **_LOADTXT,
+                )
+                users, items, times = table["user"], table["item"], table["time"]
+    except (ValueError, OverflowError, Warning):
+        return None
+    if times is not None and np.any(times[1:] < times[:-1]):
+        times = None  # the line parser's rule: a decrease means not a clock
+    return GraphStream.from_columns(
+        np.ascontiguousarray(users),
+        np.ascontiguousarray(items),
+        name=name,
+        timestamps=times,
     )
 
 

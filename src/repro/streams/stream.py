@@ -5,16 +5,26 @@ same stream can be replayed for every estimator under comparison — essential
 for the paper's experiments, where six methods must observe exactly the same
 edge sequence.  Streams can be built from a list, a generator factory or a
 file, and expose exact summary statistics (user count, per-user
-cardinalities, total cardinality) computed on demand and cached.
+cardinalities, total cardinality) computed on demand and cached.  A stream
+read from an all-integer edge file holds integer columns instead
+(:meth:`GraphStream.from_columns`) and builds its pair list only when asked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
 
 UserItemPair = tuple[object, object]
 TimedPair = tuple[object, object, float]
+
+
+def _float_column(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a new ``float64`` array (``float()`` of each)."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        values = list(values)
+    return np.array(values, dtype=np.float64)
 
 
 def materialize(pairs: Iterable[UserItemPair]) -> list[UserItemPair]:
@@ -39,9 +49,8 @@ class GraphStream:
             self._pairs = pairs
             self._factory = lambda: pairs
         self.name = name
-        self._timestamps: list[float] | None = (
-            None if timestamps is None else [float(value) for value in timestamps]
-        )
+        self._timestamps = None if timestamps is None else _float_column(timestamps)
+        self._columns: tuple[np.ndarray, np.ndarray] | None = None
         if self._timestamps is not None and self._pairs is not None:
             if len(self._timestamps) != len(self._pairs):
                 raise ValueError("timestamps must have one entry per pair")
@@ -53,6 +62,29 @@ class GraphStream:
     def from_pairs(cls, pairs: Iterable[UserItemPair], name: str = "stream") -> GraphStream:
         """Build a stream from an in-memory iterable of pairs."""
         return cls(list(pairs), name=name)
+
+    @classmethod
+    def from_columns(
+        cls,
+        users: np.ndarray,
+        items: np.ndarray,
+        name: str = "stream",
+        timestamps: Sequence[float] | np.ndarray | None = None,
+    ) -> GraphStream:
+        """Build a stream over integer ``users`` and ``items`` columns.
+
+        The pair list (Python ints) is built only when :meth:`pairs` is
+        called; :meth:`to_int_arrays` returns the columns themselves.
+        """
+        if users.shape != items.shape or users.ndim != 1:
+            raise ValueError("users and items must be one-dimensional and equally long")
+        stream = cls(lambda: zip(users.tolist(), items.tolist()), name=name)
+        stream._columns = (users, items)
+        if timestamps is not None:
+            stream._timestamps = _float_column(timestamps)
+            if stream._timestamps.shape != users.shape:
+                raise ValueError("timestamps must have one entry per pair")
+        return stream
 
     # -- iteration -------------------------------------------------------------
 
@@ -68,14 +100,25 @@ class GraphStream:
         return self._pairs
 
     def __len__(self) -> int:
+        if self._columns is not None:
+            return int(self._columns[0].size)
         return len(self.pairs())
+
+    @property
+    def columnar(self) -> bool:
+        """True when the stream holds integer columns (:meth:`from_columns`)."""
+        return self._columns is not None
 
     def prefix(self, length: int) -> GraphStream:
         """Return a new stream containing only the first ``length`` pairs."""
         timestamps = None if self._timestamps is None else self._timestamps[:length]
-        return GraphStream(
-            self.pairs()[:length], name=f"{self.name}[:{length}]", timestamps=timestamps
-        )
+        name = f"{self.name}[:{length}]"
+        if self._columns is not None:
+            users, items = self._columns
+            return GraphStream.from_columns(
+                users[:length], items[:length], name=name, timestamps=timestamps
+            )
+        return GraphStream(self.pairs()[:length], name=name, timestamps=timestamps)
 
     # -- timestamps ------------------------------------------------------------
 
@@ -92,13 +135,20 @@ class GraphStream:
         with time-based consumers such as the monitoring subsystem.
         """
         if self._timestamps is not None:
-            if len(self._timestamps) != len(self.pairs()):
+            if len(self._timestamps) != len(self):
                 raise ValueError("timestamps must have one entry per pair")
-            return list(self._timestamps)
-        return [float(index) for index in range(len(self.pairs()))]
+            return self._timestamps.tolist()
+        return [float(index) for index in range(len(self))]
+
+    def timestamp_array(self) -> np.ndarray | None:
+        """The explicit arrival timestamps as a ``float64`` array (None without)."""
+        return self._timestamps
 
     def with_timestamps(self, timestamps: Sequence[float]) -> GraphStream:
         """Return a copy of this stream with explicit arrival timestamps."""
+        if self._columns is not None:
+            users, items = self._columns
+            return GraphStream.from_columns(users, items, name=self.name, timestamps=timestamps)
         return GraphStream(self.pairs(), name=self.name, timestamps=timestamps)
 
     def iter_timed(self) -> Iterator[TimedPair]:
@@ -114,10 +164,11 @@ class GraphStream:
         edge-list dumps); raises ``TypeError`` otherwise.  This is the input
         shape of the engine's fully-vectorised encoder
         (:meth:`repro.engine.EncodedBatch.from_int_arrays`), used by the
-        high-rate replay benchmarks to skip the per-pair Python fold.
+        high-rate replay benchmarks to skip the per-pair Python fold.  A
+        stream built :meth:`from_columns` returns its columns.
         """
-        import numpy as np
-
+        if self._columns is not None:
+            return self._columns
         pairs = self.pairs()
         users = [user for user, _ in pairs]
         items = [item for _, item in pairs]
@@ -165,8 +216,17 @@ class GraphStream:
 
     @property
     def user_count(self) -> int:
-        """Number of distinct users in the stream."""
-        return int(self.stats()["user_count"])  # type: ignore[arg-type]
+        """Number of distinct users in the stream.
+
+        Counts users alone, with dict-key equality as :meth:`stats` does
+        (``7`` and ``"7"`` are two users, ``True`` and ``1`` one), without
+        computing the per-user item sets.
+        """
+        if self._stats is not None:
+            return int(self._stats["user_count"])  # type: ignore[arg-type]
+        if self._columns is not None:
+            return int(np.unique(self._columns[0]).size)
+        return len({user for user, _ in self})
 
     @property
     def total_cardinality(self) -> int:

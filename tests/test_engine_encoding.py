@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FreeBS
 from repro.engine import EncodedBatch, encode_int_pairs, encode_pairs
@@ -135,21 +137,34 @@ class TestEncodeIntPairsEdgeIds:
             encode_int_pairs(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
 
 
+def _assert_same_batch(actual: EncodedBatch, expected: EncodedBatch) -> None:
+    """Field-for-field equality, dtypes and user key types included."""
+    assert actual.users == expected.users
+    assert [type(user) for user in actual.users] == [type(user) for user in expected.users]
+    for name in ("user_codes", "user_hashes", "item_hashes"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+    assert actual.pair_keys().tolist() == expected.pair_keys().tolist()
+
+
 class TestEncodedBatch:
     def test_from_pairs_matches_from_int_arrays(self):
         users = np.array([5, 2, 5, 9, 2], dtype=np.int64)
         items = np.array([1, 1, 2, 3, 1], dtype=np.int64)
         from_arrays = EncodedBatch.from_int_arrays(users, items)
         from_pairs = EncodedBatch.from_pairs(list(zip(users.tolist(), items.tolist())))
-        # User code *numbering* may differ (sorted vs first-seen), but every
-        # derived hash quantity must be identical pair-for-pair.
-        assert from_arrays.pair_keys().tolist() == from_pairs.pair_keys().tolist()
-        assert from_arrays.item_hashes.tolist() == from_pairs.item_hashes.tolist()
-        for position in range(len(from_arrays)):
-            assert (
-                from_arrays.users[int(from_arrays.user_codes[position])]
-                == from_pairs.users[int(from_pairs.user_codes[position])]
-            )
+        # Same numbering (first-seen), same folds, Python int keys.
+        assert from_arrays.users == [5, 2, 9]
+        _assert_same_batch(from_arrays, from_pairs)
+
+    def test_slice_lists_the_part_users_first_seen(self):
+        """Parent users [A, B]; the part B, A lists [B, A], which a subset
+        (ascending parent code) would not."""
+        pairs = [("A", 1), ("B", 2), ("A", 3)]
+        part = EncodedBatch.from_pairs(pairs).slice(1, 3)
+        assert part.users == ["B", "A"]
+        _assert_same_batch(part, EncodedBatch.from_pairs(pairs[1:3]))
 
     def test_item_hashes_with_seed_matches_hash64(self):
         pairs = [("alice", "x"), ("bob", 42), ("alice", (1, 2))]
@@ -176,3 +191,36 @@ class TestEncodedBatch:
         assert keys.tolist() == [pair_key(u, i) for u, i in pairs]
         assert decode[int(codes[0])] == "alice"
         assert codes[0] == codes[2]
+
+
+_ID_RANGES = {
+    "int64": (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    "uint64": (np.uint64, st.integers(0, 2**64 - 1)),
+    # Negative ids beside ids >= 2**63: no fixed-width dtype holds both.
+    "object": (object, st.integers(-(2**80), 2**80)),
+}
+
+
+class TestFromIntArraysContract:
+    """``from_int_arrays`` is ``from_pairs`` of the same pairs, field for
+    field, and so is every rotation split of a batch."""
+
+    @pytest.mark.parametrize("kind", list(_ID_RANGES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_from_pairs_and_every_split_does(self, kind, data):
+        dtype, ids = _ID_RANGES[kind]
+        # Few distinct users, so users recur and first-seen order matters.
+        pool = data.draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+        users = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=30))
+        items = data.draw(st.lists(ids, min_size=len(users), max_size=len(users)))
+        pairs = list(zip(users, items))
+        batch = EncodedBatch.from_int_arrays(
+            np.array(users, dtype=dtype), np.array(items, dtype=dtype)
+        )
+        _assert_same_batch(batch, EncodedBatch.from_pairs(pairs))
+        for start in range(len(pairs) + 1):
+            for stop in range(start, len(pairs) + 1):
+                _assert_same_batch(
+                    batch.slice(start, stop), EncodedBatch.from_pairs(pairs[start:stop])
+                )

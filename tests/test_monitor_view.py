@@ -100,6 +100,29 @@ class TestReadSnapshot:
         assert normalize_user_key(estimates, "7") == "7"  # unseen stays as-is
 
 
+class TestTotalEstimate:
+    def test_delta_times_total_is_the_enter_threshold(self):
+        """``stats``' total is the score table's own reduction, so it agrees
+        with the delta threshold in every bit.  A Python sum over the window
+        users (the earlier form) missed in the last bits here on nearly
+        every batch."""
+        pairs = zipf_bipartite_stream(n_users=500, n_pairs=12_000, seed=3)
+        monitor = MonitorSpec(
+            method="FreeBS",
+            memory_bits=1 << 16,
+            expected_users=500,
+            epoch_pairs=8_000,
+            window_epochs=3,
+            delta=5e-3,
+        ).build()
+        for start in range(0, len(pairs), 1_000):
+            monitor.observe(pairs[start : start + 1_000])
+            snapshot = monitor.read_snapshot()
+            assert monitor.delta * snapshot.total_estimate() == snapshot.enter_threshold
+        assert len(snapshot.estimates) > 400
+        assert snapshot.total_estimate() == pytest.approx(sum(snapshot.estimates.values()))
+
+
 _USER_KEYS = {
     "int": lambda user: user,
     "str": lambda user: f"user-{user}",
