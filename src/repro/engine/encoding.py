@@ -134,39 +134,22 @@ class EncodedBatch:
         """Return the legacy ``{code: user}`` decode dict."""
         return dict(enumerate(self.users))
 
-    def subset(self, mask: np.ndarray) -> EncodedBatch:
+    def subset(self, mask: np.ndarray | slice) -> EncodedBatch:
         """Return a new batch containing only the pairs selected by ``mask``.
 
-        User codes are re-densified; the relative order of the selected pairs
-        (and therefore every arrival-order-dependent estimate) is preserved.
-        Used by the sharding layer to split one encoded batch across shards.
+        ``mask`` is a boolean mask or a slice.  The selected pairs keep
+        their relative order (and therefore every arrival-order-dependent
+        estimate), and their users are re-densified in the part's own
+        first-seen order, so ``subset(slice(a, b))`` equals
+        :meth:`from_pairs` of pairs ``a:b`` field for field.  Used by the
+        sharding layer to split one encoded batch across shards, and by the
+        monitor's window to split one at an epoch rotation.
         """
-        codes = self.user_codes[mask]
-        items = self.item_hashes[mask]
-        unique_codes, inverse = np.unique(codes, return_inverse=True)
-        users = [self.users[int(code)] for code in unique_codes]
-        return EncodedBatch(
-            user_codes=inverse.astype(np.int64),
-            user_hashes=self.user_hashes[unique_codes],
-            item_hashes=items,
-            users=users,
-        )
-
-    def slice(self, start: int, stop: int) -> EncodedBatch:
-        """Return the pairs ``start:stop`` as a batch of their own.
-
-        The part lists its users in its own first-seen order, so it equals
-        :meth:`from_pairs` of the same pairs field for field.  (A
-        :meth:`subset` keeps the parent's order instead, which is the
-        part's own only when whole users are selected.)  Used to split a
-        batch at an epoch rotation.
-        """
-        codes = self.user_codes[start:stop]
-        parent_codes, part_codes = _first_seen_codes(codes)
+        parent_codes, part_codes = _first_seen_codes(self.user_codes[mask])
         return EncodedBatch(
             user_codes=part_codes,
             user_hashes=self.user_hashes[parent_codes],
-            item_hashes=self.item_hashes[start:stop],
+            item_hashes=self.item_hashes[mask],
             users=[self.users[code] for code in parent_codes.tolist()],
         )
 

@@ -32,7 +32,7 @@ from repro.monitor.snapshot import SnapshotStore
 from repro.monitor.spreader import SpreaderMonitor
 from repro.monitor.view import wire_user as _json_user
 from repro.monitor.window import Epoch
-from repro.runtime.handle import stream_batches
+from repro.runtime.handle import batch_slices
 
 UserItemPair = tuple[object, object]
 
@@ -72,7 +72,7 @@ def replay_feed(
 ) -> Iterator[dict[str, object]]:
     """Replay ``pairs`` through ``monitor``; yield the JSONL feed records.
 
-    The batches are those of :func:`~repro.runtime.handle.stream_batches`:
+    The batches are those of :func:`~repro.runtime.handle.batch_slices`:
     a column-backed :class:`~repro.streams.GraphStream` is encoded one
     column slice at a time.
     """
@@ -87,7 +87,10 @@ def replay_feed(
     batches_done = 0
     alerts_emitted = 0
     windows_emitted = 0
-    for batch, batch_times in stream_batches(pairs, timestamps, batch_size, start=skip_pairs):
+    batches = batch_slices(
+        pairs, timestamps, batch_size, skip_pairs, encoded=monitor.window.takes_encoded
+    )
+    for batch, batch_times in batches:
         closed = monitor.window.ingest(batch, batch_times)
         alerts = monitor.evaluate()
         for epoch in closed:

@@ -129,8 +129,6 @@ class WindowedEstimator:
         self._regressions = 0
         self._last_timestamp: float | None = None
         self._ring.append(self._new_epoch())
-        #: Whether the epoch estimators take encoded batches; scalar-only
-        #: estimators (``update`` alone) take the pairs one at a time.
         self._encoded = supports_encoded(self._ring[-1].estimator)
 
     # -- construction helpers --------------------------------------------------
@@ -171,6 +169,15 @@ class WindowedEstimator:
     def regressions(self) -> int:
         """Pairs whose timestamp regressed and was clamped to the live epoch."""
         return self._regressions
+
+    @property
+    def takes_encoded(self) -> bool:
+        """Whether the epoch estimators take an :class:`EncodedBatch`.
+
+        Scalar-only estimators (``update`` alone) take the pairs one at a
+        time instead; see :meth:`prepare`.
+        """
+        return self._encoded
 
     def window_exactness(self) -> str:
         """Merge guarantee of sliding queries ("exact" or "additive")."""
@@ -213,7 +220,7 @@ class WindowedEstimator:
         already seen (so the pair lands in the live epoch) and counted in
         :attr:`regressions`; with ``strict_timestamps=True`` it raises
         ``ValueError`` instead.  A rotation inside the batch splits it in
-        pair order (:meth:`EncodedBatch.slice`).
+        pair order (:meth:`EncodedBatch.subset` of a pair range).
         """
         batch = self.prepare(batch)
         count = len(batch)
@@ -250,43 +257,41 @@ class WindowedEstimator:
         epoch, so it is pinned to the newest timestamp already seen — time
         stands still and the pair stays in the live epoch.  "Newest" is the
         latest pair that was not itself clamped; nothing compares below a
-        NaN, so the clock restarts after one, and each NaN-free run is
-        clamped on its own.
+        NaN, so the clock restarts after one.
         """
         previous = self._last_timestamp
-        bound = math.nan if previous is None else float(previous)
-        clamped = 0
-        begin = 0
-        for end in [*np.flatnonzero(np.isnan(times)).tolist(), times.size]:
-            run = times[begin:end]
-            clock = np.maximum.accumulate(run)
-            if not math.isnan(bound):
-                np.maximum(clock, bound, out=clock)
-            regressed = run < clock
-            if regressed.any():
-                # The newest pair not clamped before each pair, -1 for the
-                # bound: its value is what the pair is clamped to.
-                source = np.maximum.accumulate(np.where(regressed, -1, np.arange(run.size)))
-                if self.strict_timestamps:
-                    first = int(np.argmax(regressed))
-                    prior = bound if first == 0 else float(run[first - 1])
-                    raise ValueError(
-                        "timestamps must be non-decreasing across the stream "
-                        f"(got {float(run[first])} after {prior})"
-                    )
-                source = source[regressed]
-                run[regressed] = np.where(source >= 0, run[np.maximum(source, 0)], bound)
-                clamped += int(np.count_nonzero(regressed))
-            bound = math.nan  # the NaN at ``end`` restarts the clock
-            begin = end + 1
-        self._regressions += clamped
-        if clamped:
-            obs.counter("monitor.timestamp_regressions").add(clamped)
-            _log.warning(
-                "timestamps_clamped",
-                clamped=clamped,
-                total_regressions=self._regressions,
+        bound = math.nan if previous is None else previous
+        # A pair is clamped only where the clock falls: below the pair
+        # before it, or the first pair below the bound.
+        if not times.size or not (times[0] < bound or np.any(times[1:] < times[:-1])):
+            return
+        # The clock with the bound as pair -1.  Each NaN starts a run; in a
+        # run, a pair's clock is the newest pair holding the run's maximum
+        # so far, which is the highest (value, position) rank.
+        clock = np.concatenate(([bound], times))
+        order = np.argsort(clock, kind="stable")
+        rank = np.empty(clock.size, dtype=np.int64)
+        rank[order] = np.arange(1, clock.size + 1)
+        nan = np.isnan(clock)
+        band = np.cumsum(nan) * (clock.size + 1)  # runs never share a band
+        newest = np.maximum.accumulate(band + np.where(nan, 0, rank)) - band
+        source = order[np.maximum(newest, 1) - 1]
+        regressed = np.flatnonzero((newest > 0) & (source != np.arange(clock.size)))
+        if self.strict_timestamps:
+            first = int(regressed[0])
+            raise ValueError(
+                "timestamps must be non-decreasing across the stream "
+                f"(got {float(clock[first])} after {float(clock[source[first]])})"
             )
+        times[regressed - 1] = clock[source[regressed]]
+        clamped = int(regressed.size)
+        self._regressions += clamped
+        obs.counter("monitor.timestamp_regressions").add(clamped)
+        _log.warning(
+            "timestamps_clamped",
+            clamped=clamped,
+            total_regressions=self._regressions,
+        )
 
     def _pairs_until_rotation(self, times: np.ndarray, position: int) -> int:
         """How many pairs from ``position`` still fit in the live epoch."""
@@ -312,7 +317,7 @@ class WindowedEstimator:
         estimator = live.estimator
         if isinstance(batch, EncodedBatch):
             whole = start == 0 and stop == len(batch)
-            estimator.update_encoded(batch if whole else batch.slice(start, stop))
+            estimator.update_encoded(batch if whole else batch.subset(slice(start, stop)))
         else:
             for user, item in batch[start:stop]:
                 estimator.update(user, item)

@@ -40,41 +40,28 @@ IngestBatch = tuple[
 
 
 def batch_slices(
-    pairs: Sequence[UserItemPair],
-    timestamps: Sequence[float] | None = None,
-    batch_size: int = 2048,
-) -> Iterator[IngestBatch]:
-    """Slice a materialised stream into ``(pairs, timestamps)`` ingest batches."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    if timestamps is not None and len(timestamps) != len(pairs):
-        raise ValueError("timestamps must have one entry per pair")
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        times = None if timestamps is None else timestamps[start : start + batch_size]
-        yield chunk, times
-
-
-def stream_batches(
     pairs: Iterable[UserItemPair],
     timestamps: Sequence[float] | np.ndarray | None = None,
     batch_size: int = 2048,
     start: int = 0,
+    encoded: bool = True,
 ) -> Iterator[IngestBatch]:
-    """Lazy ingest batches of a stream, from pair ``start`` on.
+    """Slice a stream into ``(pairs, timestamps)`` ingest batches from pair ``start`` on.
 
-    The batches are those of ``batch_slices(pairs[start:],
-    timestamps[start:], batch_size)``, made one at a time.  A column-backed
+    The batches are made one at a time.  A column-backed
     :class:`~repro.streams.GraphStream` (an integer edge file) yields each
     batch as one :meth:`EncodedBatch.from_int_arrays` of its column slices,
-    so none of its pairs becomes a Python object; any other stream yields
-    its pairs.  Encoding reads only the columns, so it may run outside the
-    ingest lock.
+    so none of its pairs becomes a Python object; encoding reads only the
+    columns, so it may run outside the ingest lock.  For estimators that
+    take only pairs (``encoded=False``, from
+    :attr:`~repro.monitor.WindowedEstimator.takes_encoded`) the column
+    slices are yielded as pairs instead.  Any other stream yields slices of
+    its pairs.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     columns = pairs.to_int_arrays() if isinstance(pairs, GraphStream) and pairs.columnar else None
-    if columns is None and not isinstance(pairs, (list, tuple)):
+    if columns is None and not isinstance(pairs, Sequence):
         pairs = list(pairs)
     total = len(pairs)
     if timestamps is not None and len(timestamps) != total:
@@ -86,9 +73,12 @@ def stream_batches(
             times = None if timestamps is None else timestamps[begin:end]
             if columns is None:
                 yield pairs[begin:end], times
+                continue
+            users, items = columns[0][begin:end], columns[1][begin:end]
+            if encoded:
+                yield EncodedBatch.from_int_arrays(users, items), times
             else:
-                users, items = columns
-                yield EncodedBatch.from_int_arrays(users[begin:end], items[begin:end]), times
+                yield list(zip(users.tolist(), items.tolist())), times
 
     return batches()
 
@@ -99,8 +89,8 @@ class IngestHandle:
     Parameters
     ----------
     batches:
-        Iterable of ``(pairs, timestamps)`` batches (see :func:`batch_slices`
-        and :func:`stream_batches`); the pairs may be an
+        Iterable of ``(pairs, timestamps)`` batches (see
+        :func:`batch_slices`); the pairs may be an
         :class:`~repro.engine.EncodedBatch`.  The next batch is taken from
         the iterable before the lock is.
     sink:
@@ -278,9 +268,12 @@ def ingest_handle_for_monitor(
     """Build (without starting) a handle replaying a stream into a monitor.
 
     Ingest begins at pair ``start`` (a restored monitor's resume offset);
-    the batches are made lazily by :func:`stream_batches`.
+    the batches are made lazily by :func:`batch_slices`, in the form the
+    monitor's window takes.
     """
-    batches = stream_batches(pairs, timestamps, batch_size, start)
+    batches = batch_slices(
+        pairs, timestamps, batch_size, start, encoded=monitor.window.takes_encoded
+    )
 
     def sink(batch, batch_times):
         monitor.observe(batch, batch_times)

@@ -54,7 +54,7 @@ async def serve_monitor(
 
     ``pairs`` (with optional ``timestamps``) is ingested from the monitor's
     resume offset on, in lazily made batches of ``batch_size``
-    (:func:`~repro.runtime.handle.stream_batches`): a column-backed
+    (:func:`~repro.runtime.handle.batch_slices`): a column-backed
     :class:`~repro.streams.GraphStream` reaches the monitor as one encoded
     batch per column slice.
 

@@ -112,13 +112,9 @@ class GraphStream:
     def prefix(self, length: int) -> GraphStream:
         """Return a new stream containing only the first ``length`` pairs."""
         timestamps = None if self._timestamps is None else self._timestamps[:length]
-        name = f"{self.name}[:{length}]"
-        if self._columns is not None:
-            users, items = self._columns
-            return GraphStream.from_columns(
-                users[:length], items[:length], name=name, timestamps=timestamps
-            )
-        return GraphStream(self.pairs()[:length], name=name, timestamps=timestamps)
+        return GraphStream(
+            self.pairs()[:length], name=f"{self.name}[:{length}]", timestamps=timestamps
+        )
 
     # -- timestamps ------------------------------------------------------------
 
@@ -146,9 +142,6 @@ class GraphStream:
 
     def with_timestamps(self, timestamps: Sequence[float]) -> GraphStream:
         """Return a copy of this stream with explicit arrival timestamps."""
-        if self._columns is not None:
-            users, items = self._columns
-            return GraphStream.from_columns(users, items, name=self.name, timestamps=timestamps)
         return GraphStream(self.pairs(), name=self.name, timestamps=timestamps)
 
     def iter_timed(self) -> Iterator[TimedPair]:

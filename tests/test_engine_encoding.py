@@ -158,11 +158,11 @@ class TestEncodedBatch:
         assert from_arrays.users == [5, 2, 9]
         _assert_same_batch(from_arrays, from_pairs)
 
-    def test_slice_lists_the_part_users_first_seen(self):
-        """Parent users [A, B]; the part B, A lists [B, A], which a subset
-        (ascending parent code) would not."""
+    def test_subset_lists_the_part_users_first_seen(self):
+        """Parent users [A, B]; the part B, A lists [B, A], not the
+        parent's order."""
         pairs = [("A", 1), ("B", 2), ("A", 3)]
-        part = EncodedBatch.from_pairs(pairs).slice(1, 3)
+        part = EncodedBatch.from_pairs(pairs).subset(slice(1, 3))
         assert part.users == ["B", "A"]
         _assert_same_batch(part, EncodedBatch.from_pairs(pairs[1:3]))
 
@@ -222,5 +222,6 @@ class TestFromIntArraysContract:
         for start in range(len(pairs) + 1):
             for stop in range(start, len(pairs) + 1):
                 _assert_same_batch(
-                    batch.slice(start, stop), EncodedBatch.from_pairs(pairs[start:stop])
+                    batch.subset(slice(start, stop)),
+                    EncodedBatch.from_pairs(pairs[start:stop]),
                 )

@@ -1,7 +1,7 @@
 """The column path equals the tuple path, bit for bit.
 
 An integer edge file reaches the monitor as ``EncodedBatch`` column slices
-(``stream_batches`` over a column-backed ``GraphStream``) with ``float64``
+(``batch_slices`` over a column-backed ``GraphStream``) with ``float64``
 timestamp arrays; a tuple stream reaches it as lists of pairs, encoded once
 per batch.  For every method, sharded or not, with rotations inside a batch
 (``epoch_pairs`` off the batch grid) and with regressed timestamps
@@ -35,9 +35,9 @@ from repro.monitor import (
     WindowedEstimator,
     monitor_from_json,
     monitor_to_json,
+    replay_feed,
 )
-from repro.runtime import batch_slices
-from repro.runtime.handle import stream_batches
+from repro.runtime import batch_slices, ingest_handle_for_monitor
 from repro.streams.stream import GraphStream
 
 METHODS = [(method, 1) for method in ("FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++")]
@@ -96,7 +96,7 @@ def _run_tuples(monitor, users, items, times=None, start=0):
 def _run_columns(monitor, users, items, times=None, start=0):
     stream = GraphStream.from_columns(users, items, timestamps=times)
     alerts = []
-    for batch, batch_times in stream_batches(stream, times, _BATCH, start=start):
+    for batch, batch_times in batch_slices(stream, times, _BATCH, start=start):
         assert isinstance(batch, EncodedBatch)
         alerts.extend(monitor.observe(batch, batch_times))
     return alerts
@@ -222,7 +222,7 @@ class TestScalarOnlyEstimators:
     def _monitor(self):
         # ExactCounter is not mergeable: a one-epoch window, no rotation.
         window = WindowedEstimator(
-            lambda _k: ExactCounter(), epoch_pairs=1_000, window_epochs=1
+            lambda _k: ExactCounter(), epoch_pairs=1 << 20, window_epochs=1
         )
         return SpreaderMonitor(window, threshold=1e9, top_k=3)
 
@@ -237,6 +237,28 @@ class TestScalarOnlyEstimators:
         assert monitor.window.live_epoch.estimator.estimates() == {
             user: float(len(items)) for user, items in exact.items()
         }
+
+    def test_column_stream_reaches_it_as_pairs(self):
+        """The replay feed and the ingest handle slice a column-backed
+        stream into pairs for a window that cannot take an EncodedBatch."""
+        users, items = _columns()
+        stream = GraphStream.from_columns(users, items)
+        expected = self._monitor()
+        for chunk, _times in batch_slices(list(zip(users.tolist(), items.tolist())), None, 500):
+            expected.observe(chunk)
+        by_feed = self._monitor()
+        assert not by_feed.window.takes_encoded
+        # The feed's close-out record names the window's merge exactness,
+        # which ExactCounter does not declare; every pair is in by then.
+        with pytest.raises(TypeError, match="no monitor merge support"):
+            list(replay_feed(by_feed, stream, batch_size=500))
+        by_handle = self._monitor()
+        handle = ingest_handle_for_monitor(by_handle, stream, batch_size=500).start()
+        assert handle.join(timeout=30.0)
+        for monitor in (by_feed, by_handle):
+            assert monitor.window.pairs_ingested == _PAIRS
+            assert monitor.last_window_estimates() == expected.last_window_estimates()
+            assert monitor.current_top == expected.current_top
 
     def test_encoded_batch_is_refused(self):
         monitor = self._monitor()

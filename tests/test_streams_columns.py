@@ -120,7 +120,7 @@ def test_column_stream_round_trips_and_slices(tmp_path):
     assert users.tolist() == [1, 3, 1] and items.tolist() == [2, 4, 6]
     assert stream.timestamp_array().tolist() == [0.5, 1.5, 2.5]
     head = stream.prefix(2)
-    assert head.columnar and head.pairs() == [(1, 2), (3, 4)]
+    assert head.pairs() == [(1, 2), (3, 4)]
     assert head.timestamps() == [0.5, 1.5]
     assert list(stream.iter_timed()) == [(1, 2, 0.5), (3, 4, 1.5), (1, 6, 2.5)]
     assert stream.stats()["user_count"] == stream.user_count == 2
