@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ExactCounter
@@ -306,6 +306,9 @@ _CLOCK = st.one_of(
     batches=st.lists(st.lists(_CLOCK, max_size=12), min_size=1, max_size=4),
     strict=st.booleans(),
 )
+# Long runs of equal signed zeros: a pair is clamped to the newest of them.
+@example(batches=[[0.0, -0.0] * 20 + [-1.0] * 3, [-2.0]], strict=False)
+@example(batches=[[-0.0, 0.0] * 20 + [-1.0] * 3, [-2.0]], strict=False)
 def test_vector_clamp_equals_the_loop(batches, strict):
     """Batch by batch, same clamped bits, same count, same first error."""
     window = WindowedEstimator(
