@@ -1,6 +1,7 @@
 """Command-line interface of the reproduction.
 
-Three subcommands:
+Seven subcommands; the global flags ``--log-level`` and ``--log-json`` go
+before the subcommand name.
 
 ``freesketch list-experiments``
     Show the identifiers of every reproducible table/figure/ablation.
@@ -17,28 +18,6 @@ Three subcommands:
     Run one estimator over an edge-list file and print the top-K users by
     estimated cardinality — a minimal "use it on your own data" entry point.
 
-``freesketch run <edge-file> [--method FreeRS] [--memory-bits N] [--workers W]
-[--shards K] [--chunk-size N] [--top K] [--json out.json]``
-    Ingest an edge-list file through the parallel runtime
-    (:mod:`repro.runtime`): users are partitioned across ``--workers``
-    processes, each replaying the vectorised batch path over its shard set,
-    and the per-worker sketches are merged into one estimator.  For a fixed
-    ``--shards K`` the estimates are **bit-identical** for every worker
-    count (``--workers 4`` reproduces the single-process ``--workers 1
-    --shards 4`` run exactly); ``--json`` writes the full-precision estimate
-    map so two runs can be diffed.
-
-``freesketch monitor <edge-file> [--method ...] [--epoch-pairs N | --epoch-span S]
-[--window W] [--delta D | --threshold T] [--out feed.jsonl]
-[--snapshot-dir DIR] [--snapshot-every N] [--resume] [--rate R]``
-    Replay a dataset through the continuous monitoring subsystem
-    (:mod:`repro.monitor`): epoch-rotating windowed sketches, sliding-window
-    top-k spreader tracking, hysteresis alerts, and periodic state
-    snapshots.  Emits a JSONL feed of window estimates and alert events to
-    stdout and (append-mode) to ``--out``.  ``--resume`` restores the newest
-    loadable snapshot from ``--snapshot-dir`` and fast-forwards the stream past the
-    pairs it already saw — the kill/restore story for long replays.
-
     ``--engine`` selects the update path: ``batch`` (default) replays the
     stream in vectorised chunks through the engine layer, ``scalar`` feeds
     pairs one by one (the paper's streaming model).  Both produce
@@ -47,11 +26,26 @@ Three subcommands:
 
     ``--shards K`` partitions users across K independent sub-sketches
     (:class:`repro.engine.ShardedEstimator`), each with 1/K of the memory
-    budget — the scale-out configuration for multi-worker replay.
+    budget.  The estimates depend on K, never on the engine or chunk size.
 
-``freesketch serve [edge-file] [--port P] [--refresh-every N] [monitor flags]
-[--snapshot-dir DIR] [--snapshot-every N] [--resume] [--rate R]
-[--metrics-port P]``
+``freesketch monitor <edge-file> [--method FreeRS] [--memory-bits N] [--seed S]
+[--shards K] [--epoch-pairs N | --epoch-span S] [--window W] [--top-k K]
+[--delta D | --threshold T] [--hysteresis H] [--batch-size N]
+[--snapshot-dir DIR] [--snapshot-every N] [--resume] [--rate R] [--out feed.jsonl]``
+    Replay a dataset through the continuous monitoring subsystem
+    (:mod:`repro.monitor`): epoch-rotating windowed sketches, sliding-window
+    top-k spreader tracking, hysteresis alerts, and periodic state
+    snapshots.  Emits a JSONL feed of window estimates and alert events to
+    stdout and (append-mode) to ``--out``.  A fresh monitor needs exactly
+    one of ``--epoch-pairs`` (event-count rotation) and ``--epoch-span``
+    (arrival-clock rotation); ``--shards K`` splits each epoch's sketch
+    across K user-partitioned shards.  ``--resume`` restores the newest
+    loadable snapshot from ``--snapshot-dir`` and fast-forwards the stream
+    past the pairs it already saw — the kill/restore story for long
+    replays.
+
+``freesketch serve [edge-file] [monitor flags but --out] [--host H] [--port P]
+[--refresh-every N] [--metrics-port P]``
     Serve live spread-estimate queries (``spread`` / ``batch_spread`` /
     ``topk`` / ``sliding`` / ``stats`` / ``metrics``) over a
     newline-delimited-JSON TCP protocol (:mod:`repro.service`) while a
@@ -64,6 +58,10 @@ Three subcommands:
     statically.  Readiness (and the bound port, with the default ``--port
     0``) is announced as a ``{"type": "serving", ...}`` JSONL record on
     stdout.
+
+``freesketch lint [paths ...] [--strict] [--json] [--rules RL001,RL003]``
+    Run the repository's invariant checks (:mod:`repro.lint`) with the same
+    flags and exit codes as ``python -m repro.lint``.
 """
 
 from __future__ import annotations
@@ -143,47 +141,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         f"method={args.method} engine={args.engine} shards={args.shards} "
         f"memory_bits={args.memory_bits} users={stream.user_count}"
     )
-    print("user\testimated_cardinality")
-    for user, estimate in ranked[: args.top]:
-        print(f"{user}\t{estimate:.1f}")
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runtime import parallel_ingest
-
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        raise SystemExit("--chunk-size must be positive")
-    stream = read_edge_file(args.path)
-    config = ExperimentConfig(memory_bits=args.memory_bits, seed=args.seed)
-    try:
-        report = parallel_ingest(
-            stream,
-            method=args.method,
-            config=config,
-            expected_users=max(1, stream.user_count),
-            workers=args.workers,
-            shards=args.shards,
-            chunk_size=args.chunk_size,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    estimates = report.estimates()
-    if args.json:
-        # Full-precision payload keyed by stringified user id, sorted, so two
-        # runs of equal (config, shards) diff clean regardless of --workers.
-        payload = {str(user): estimate for user, estimate in estimates.items()}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-    print(
-        f"method={args.method} workers={report.workers} shards={report.shards} "
-        f"memory_bits={args.memory_bits} pairs={report.pairs} "
-        f"seconds={report.seconds:.3f} pairs_per_sec={report.pairs_per_second:.0f}"
-    )
-    ranked = sorted(estimates.items(), key=lambda pair: pair[1], reverse=True)
     print("user\testimated_cardinality")
     for user, estimate in ranked[: args.top]:
         print(f"{user}\t{estimate:.1f}")
@@ -425,44 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pairs per vectorised chunk for --engine batch (default 8192)",
     )
     estimate_parser.set_defaults(handler=_cmd_estimate)
-
-    run_ingest_parser = subparsers.add_parser(
-        "run",
-        help="ingest an edge-list file with the parallel runtime "
-        "(multiprocess shard workers; bit-identical to a single-process run)",
-    )
-    run_ingest_parser.add_argument("path")
-    run_ingest_parser.add_argument("--method", default="FreeRS", choices=METHOD_ORDER)
-    run_ingest_parser.add_argument("--memory-bits", type=int, default=1 << 20)
-    run_ingest_parser.add_argument("--seed", type=int, default=7)
-    run_ingest_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="ingest processes; users are partitioned across the workers' "
-        "shard sets and the per-worker sketches are merged at the end",
-    )
-    run_ingest_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count of the underlying sharded estimator "
-        "(default: the worker count; must be >= --workers).  Runs with the "
-        "same shard count produce bit-identical estimates for any --workers",
-    )
-    run_ingest_parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="pairs per encoded chunk streamed to the workers (default 8192)",
-    )
-    run_ingest_parser.add_argument("--top", type=int, default=10)
-    run_ingest_parser.add_argument(
-        "--json",
-        default=None,
-        help="also write the full-precision {user: estimate} map to this file",
-    )
-    run_ingest_parser.set_defaults(handler=_cmd_run)
 
     monitor_parser = subparsers.add_parser(
         "monitor",

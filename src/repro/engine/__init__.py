@@ -16,7 +16,7 @@ mixes on its hot path:
   default.
 
 On top of those, :mod:`repro.engine.sharded` partitions users across ``K``
-independent sub-sketches with mergeable state for multi-worker replay.
+independent sub-sketches.
 
 Every batch path is bit-identical to its scalar twin (asserted by the
 test-suite on randomized streams), so the cross-method throughput benchmarks
@@ -42,7 +42,7 @@ from repro.engine.query import (
     row_zero_bit_counts,
     row_zero_counts,
 )
-from repro.engine.sharded import ShardedEstimator, route_pair_shards, route_user_hashes
+from repro.engine.sharded import ShardedEstimator, route_user_hashes
 
 __all__ = [
     "DEFAULT_CHUNK_PAIRS",
@@ -53,7 +53,6 @@ __all__ = [
     "encode_pairs",
     "hot_path",
     "process_stream",
-    "route_pair_shards",
     "route_user_hashes",
     "row_harmonic_sums",
     "row_register_values",

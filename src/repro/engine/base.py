@@ -13,9 +13,12 @@ test-suite asserts this per estimator on randomized streams), so callers can
 pick purely on throughput grounds.  :func:`process_stream` does exactly
 that: it chunks an arbitrary pair iterable and routes each chunk through the
 batch path when the estimator supports it, falling back to the scalar loop
-otherwise.  :meth:`repro.core.base.CardinalityEstimator.process` delegates
-here, which is how the CLI, the experiment runner and the benchmarks all get
-the fast path without call-site changes.
+otherwise.  A stream that holds integer columns (an integer edge file) is
+sliced straight into :meth:`EncodedBatch.from_int_arrays` chunks, so none
+of its pairs becomes a Python tuple.
+:meth:`repro.core.base.CardinalityEstimator.process` delegates here, which
+is how the CLI, the experiment runner and the benchmarks all get the fast
+path without call-site changes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections.abc import Callable, Iterable
 from typing import Any, TypeVar
 
 from repro.engine.encoding import EncodedBatch
+from repro.streams.stream import GraphStream
 
 UserItemPair = tuple[object, object]
 
@@ -98,7 +102,10 @@ def process_stream(
 
     Batch-capable estimators receive the stream in chunks of ``chunk_size``
     pairs (default :data:`DEFAULT_CHUNK_PAIRS`); everything else gets the
-    plain scalar loop.  Results are identical either way.
+    plain scalar loop.  A column-backed :class:`~repro.streams.GraphStream`
+    reaches an estimator that takes encoded batches as one
+    :meth:`EncodedBatch.from_int_arrays` per column slice, on the same chunk
+    boundaries.  Results are identical either way.
     """
     if not supports_batch(estimator):
         for user, item in stream:
@@ -110,6 +117,14 @@ def process_stream(
         chunk = int(chunk_size)
         if chunk <= 0:
             raise ValueError("chunk_size must be positive")
+    if isinstance(stream, GraphStream) and stream.columnar and supports_encoded(estimator):
+        users, items = stream.to_int_arrays()
+        for start in range(0, len(users), chunk):
+            batch = EncodedBatch.from_int_arrays(
+                users[start : start + chunk], items[start : start + chunk]
+            )
+            estimator.update_encoded(batch)
+        return estimator
     buffer: list[UserItemPair] = []
     append = buffer.append
     for pair in stream:

@@ -1,26 +1,17 @@
-"""User-partitioned sharding with mergeable state.
+"""User-partitioned sharding.
 
 A :class:`ShardedEstimator` splits the user population across ``K``
-independent sub-sketches by hashing the user id, which is the standard
-scale-out move for the paper's shared-memory estimators: each shard is a
-full estimator over ``1/K``-th of the users, shards never interact, and the
+independent sub-sketches by hashing the user id: each shard is a full
+estimator over ``1/K``-th of the users, shards never interact, and the
 combined estimates are exactly what each shard would report if it had been
-run alone on its slice of the stream (the test-suite asserts this property).
-
-Because the partition is deterministic in the user id, sharding also gives a
-multi-worker replay story: workers that own disjoint shard ranges can
-process disjoint slices of the stream and later :meth:`~ShardedEstimator.merge`
-their states, reproducing a single-process run bit-for-bit.  This is the
-"mergeable state" the engine layer promises; it works for every estimator
-the factory can build, because merging only ever adopts whole untouched
-shards (no sketch-level interleaving is required).
+run alone on its slice of the stream (the test-suite asserts this
+property).  The registry builds one for ``shards > 1``, which is how
+``repro.cli estimate --shards K`` and a sharded monitor's epochs get it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-
-import copy
 
 import numpy as np
 
@@ -42,20 +33,13 @@ EstimatorFactory = Callable[[int], CardinalityEstimator]
 def route_user_hashes(user_hashes: np.ndarray, shards: int, seed: int) -> np.ndarray:
     """Shard ids for raw 64-bit user folds under the estimator's routing.
 
-    This is the one routing function: :meth:`ShardedEstimator.shard_of`, the
-    estimator's internal batch splitting and the parallel-ingest runtime's
-    coordinator all derive shard ownership from it, which is what makes
-    multi-worker runs bit-identical to a single sharded estimator.
+    This is the one vectorised routing function: the estimator's batch
+    splitting derives shard ownership from it, bit-identical to the scalar
+    :meth:`ShardedEstimator.shard_of`.
     """
     route_seed = (seed ^ _SHARD_SALT) & MASK64
     mixed = splitmix64_array(user_hashes ^ seed_mix(route_seed))
     return (mixed % np.uint64(shards)).astype(np.int64)
-
-
-@hot_path
-def route_pair_shards(batch: EncodedBatch, shards: int, seed: int) -> np.ndarray:
-    """Per-pair shard ids of an encoded batch (vectorised, bit-identical)."""
-    return route_user_hashes(batch.user_hashes, shards, seed)[batch.user_codes]
 
 
 class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
@@ -69,8 +53,7 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
     shards:
         Number of shards ``K``.
     seed:
-        Seed of the user -> shard routing hash.  Two sharded estimators can
-        only be merged if they agree on ``shards`` and ``seed``.
+        Seed of the user -> shard routing hash.
     """
 
     name = "Sharded"
@@ -185,7 +168,7 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
             self._shard_pairs[index] += len(sub_batch)
             self._shards[index].update_encoded(sub_batch)
 
-    # -- mergeable state ------------------------------------------------------
+    # -- introspection --------------------------------------------------------
 
     @property
     def shards(self) -> list[CardinalityEstimator]:
@@ -196,46 +179,6 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
     def shard_pair_counts(self) -> list[int]:
         """Pairs routed to each shard so far (duplicates included)."""
         return list(self._shard_pairs)
-
-    def touched_shards(self) -> list[int]:
-        """Shard ids that have received at least one pair."""
-        return [k for k, count in enumerate(self._shard_pairs) if count > 0]
-
-    def merge(self, other: ShardedEstimator) -> ShardedEstimator:
-        """Absorb the shards ``other`` touched; return ``self``.
-
-        The two runs must share the shard count and routing seed, and must
-        have touched *disjoint* shard sets — the multi-worker contract where
-        each worker filters the stream to the shards it owns.  Under that
-        contract the merged estimator is bit-identical to a single run over
-        the concatenated streams, because every pair lands in a shard that
-        saw exactly the same sub-stream either way.
-
-        Adopted shards are deep-copied, so ``other`` stays independent:
-        a worker that keeps streaming into its local estimator after a
-        coordinator merged it cannot silently mutate the merged state.
-        """
-        if not isinstance(other, ShardedEstimator):
-            raise TypeError("can only merge with another ShardedEstimator")
-        if (other.num_shards, other.seed) != (self.num_shards, self.seed):
-            raise ValueError(
-                "cannot merge: shard count and routing seed must match "
-                f"(self: {self.num_shards}/{self.seed}, other: {other.num_shards}/{other.seed})"
-            )
-        overlap = [
-            k
-            for k in range(self.num_shards)
-            if self._shard_pairs[k] > 0 and other._shard_pairs[k] > 0
-        ]
-        if overlap:
-            raise ValueError(
-                f"cannot merge: shards {overlap} were updated on both sides; "
-                "merge requires workers to own disjoint shard sets"
-            )
-        for k in other.touched_shards():
-            self._shards[k] = copy.deepcopy(other._shards[k])
-            self._shard_pairs[k] = other._shard_pairs[k]
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(pairs={sum(self._shard_pairs)})"

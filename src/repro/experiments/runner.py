@@ -22,7 +22,6 @@ from repro.experiments import (
     figure4_scatter,
     figure5_rse,
     figure6_spreaders_time,
-    parallel_ingest,
     table1_datasets,
     table2_spreaders,
 )
@@ -44,7 +43,6 @@ EXPERIMENTS: dict[str, ExperimentFunction] = {
     "ablation_bs_vs_rs": ablation_bs_vs_rs.run,
     "ablation_memory": ablation_memory.run,
     "ablation_register_width": ablation_register_width.run,
-    "parallel_ingest": parallel_ingest.run,
 }
 
 #: Short human-readable description per experiment id (shown by the CLI).
@@ -60,7 +58,6 @@ DESCRIPTIONS: dict[str, str] = {
     "ablation_bs_vs_rs": "Ablation — FreeBS vs FreeRS cross-over",
     "ablation_memory": "Ablation — accuracy vs memory budget",
     "ablation_register_width": "Ablation — FreeRS register width under fixed memory",
-    "parallel_ingest": "Runtime — multiprocess parallel-ingest scaling and parity",
 }
 
 

@@ -1,11 +1,9 @@
 """Sketch-level union merges across estimators of the same configuration.
 
-The engine's :meth:`~repro.engine.ShardedEstimator.merge` combines *disjoint
-shard sets* — the multi-worker contract, where every shard saw the same
-sub-stream either way.  The monitoring subsystem needs the other merge: the
-same configuration fed *different slices of time* (one estimator per epoch),
-combined into one view of the union of the slices.  That is a union at the
-sketch-state level: OR for bit arrays, element-wise max for register arrays.
+The monitoring subsystem feeds the same configuration *different slices of
+time* (one estimator per epoch) and combines them into one view of the
+union of the slices.  That is a union at the sketch-state level: OR for
+bit arrays, element-wise max for register arrays.
 
 Exactness contract (documented in docs/monitoring.md and asserted by the
 test-suite):

@@ -1,13 +1,13 @@
 """Structured runtime logging on stdlib ``logging``.
 
-The layers below used to operate silently: a worker death surfaced only as
-an exception message, a pickle fallback vanished entirely, snapshot writes
-left no trace.  This module gives them one structured channel:
+The layers below used to operate silently: a failed background ingest
+surfaced only as an exception message, clamped timestamps and snapshot
+writes left no trace.  This module gives them one structured channel:
 
 * :func:`get_logger` returns a :class:`StructuredLogger` — thin sugar over
   a stdlib logger in the ``repro.*`` hierarchy whose methods take an
-  *event name* plus keyword fields (``log.warning("worker_failed",
-  worker=3, exitcode=-9)``).  Unconfigured, events >= WARNING still reach
+  *event name* plus keyword fields (``log.warning("timestamps_clamped",
+  clamped=3)``).  Unconfigured, events >= WARNING still reach
   stderr through logging's last-resort handler, so failure forensics never
   require opting in.
 * :func:`configure_logging` installs the process-wide handler:

@@ -10,11 +10,11 @@ state feeds the service's ``metrics`` op, the Prometheus endpoint
 Three instrument types:
 
 * :class:`Counter` — a monotone float total (requests served, pairs
-  ingested, worker failures).  ``add()`` takes the instrument's lock, so
-  concurrent increments from the ingest thread, the asyncio executor pool
-  and worker-collection code never lose updates.
-* :class:`Gauge` — a point-in-time value (queue depth, slots in flight,
-  active connections); ``set`` / ``add`` under the same locking.
+  ingested, snapshot saves).  ``add()`` takes the instrument's lock, so
+  concurrent increments from the ingest thread and the asyncio executor
+  pool never lose updates.
+* :class:`Gauge` — a point-in-time value (active ingest threads, active
+  connections); ``set`` / ``add`` under the same locking.
 * :class:`Histogram` — fixed-bucket, log-scale latency/size distribution.
   ``observe`` is a ``bisect`` plus one list-element increment (plain
   ``int`` counts: a C-level increment, with no scalar boxing on the hot

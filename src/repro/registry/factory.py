@@ -1,11 +1,10 @@
 """The single ``build()`` entry point over the method registry.
 
 All estimator construction in the repository funnels through here: the
-experiments factory, the CLI ``estimate`` / ``run`` commands, the monitor
-configuration and the parallel-ingest runtime all call :func:`build` (or its
-multi-method convenience :func:`build_many`), so the equal-memory protocol,
-the virtual-size clamping and the sharded scale-out wrapping are decided in
-exactly one place.
+experiments factory, the CLI ``estimate`` command and the monitor
+configuration all call :func:`build` (or its multi-method convenience
+:func:`build_many`), so the equal-memory protocol, the virtual-size
+clamping and the sharded wrapping are decided in exactly one place.
 """
 
 from __future__ import annotations

@@ -150,35 +150,16 @@ class GraphStream:
             [(user, item, ts) for (user, item), ts in zip(self.pairs(), self.timestamps())]
         )
 
-    def to_int_arrays(self):
-        """Return the stream as two numpy arrays ``(users, items)``.
+    def to_int_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return the integer columns ``(users, items)`` of a :meth:`from_columns` stream.
 
-        Only valid for all-integer streams (the common case for the public
-        edge-list dumps); raises ``TypeError`` otherwise.  This is the input
-        shape of the engine's fully-vectorised encoder
-        (:meth:`repro.engine.EncodedBatch.from_int_arrays`), used by the
-        high-rate replay benchmarks to skip the per-pair Python fold.  A
-        stream built :meth:`from_columns` returns its columns.
+        This is the input shape of the engine's vectorised encoder
+        (:meth:`repro.engine.EncodedBatch.from_int_arrays`).  Raises
+        ``TypeError`` for a stream without columns (see :attr:`columnar`).
         """
-        if self._columns is not None:
-            return self._columns
-        pairs = self.pairs()
-        users = [user for user, _ in pairs]
-        items = [item for _, item in pairs]
-        if not all(isinstance(user, (int, np.integer)) for user in users) or not all(
-            isinstance(item, (int, np.integer)) for item in items
-        ):
-            raise TypeError("to_int_arrays requires an all-integer stream")
-
-        def as_array(values):
-            array = np.asarray(values)
-            if array.dtype.kind not in "iu":
-                # Mixed negative / >= 2**63 ids coerce to float64 and would
-                # silently merge distinct ids; keep them as exact objects.
-                array = np.array(values, dtype=object)
-            return array
-
-        return as_array(users), as_array(items)
+        if self._columns is None:
+            raise TypeError("to_int_arrays requires a column-backed stream (from_columns)")
+        return self._columns
 
     # -- exact statistics ------------------------------------------------------
 

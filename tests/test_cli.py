@@ -85,30 +85,6 @@ class TestCommands:
             main(["estimate", str(path), "--method", "NotAMethod"])
 
 
-class TestRunCommand:
-    def _dataset(self, tmp_path):
-        path = tmp_path / "chicago.tsv"
-        assert main(["generate-dataset", "chicago", str(path), "--scale", "0.02"]) == 0
-        return path
-
-    def test_run_parallel_matches_single_process_json(self, tmp_path, capsys):
-        path = self._dataset(tmp_path)
-        single_json = tmp_path / "single.json"
-        parallel_json = tmp_path / "parallel.json"
-        base = ["run", str(path), "--method", "vHLL", "--memory-bits", str(1 << 16)]
-        assert main(base + ["--workers", "1", "--shards", "2", "--json", str(single_json)]) == 0
-        assert main(base + ["--workers", "2", "--json", str(parallel_json)]) == 0
-        assert single_json.read_text() == parallel_json.read_text()
-        output = capsys.readouterr().out
-        assert "workers=2 shards=2" in output
-        assert "estimated_cardinality" in output
-
-    def test_run_rejects_fewer_shards_than_workers(self, tmp_path):
-        path = self._dataset(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["run", str(path), "--workers", "4", "--shards", "2"])
-
-
 class TestMonitorCommand:
     def _dataset(self, tmp_path):
         path = tmp_path / "chicago.tsv"

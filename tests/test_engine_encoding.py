@@ -115,19 +115,6 @@ class TestEncodeIntPairsEdgeIds:
                 np.array([1.0, 2.0]), np.array([1, 2], dtype=np.int64)
             )
 
-    def test_graphstream_to_int_arrays_keeps_mixed_range_ids_exact(self):
-        from repro.streams.stream import GraphStream
-
-        pairs = [(-1, 10), (2**63 + 1, 11), (2**63 + 3, 12)]
-        users, items = GraphStream(pairs).to_int_arrays()
-        batch = EncodedBatch.from_int_arrays(users, items)
-        scalar = FreeBS(1 << 12, seed=4)
-        for user, item in pairs:
-            scalar.update(user, item)
-        vectorised = FreeBS(1 << 12, seed=4)
-        vectorised.update_encoded(batch)
-        assert vectorised.estimates() == scalar.estimates()
-
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             encode_int_pairs(np.array([1, 2]), np.array([1]))

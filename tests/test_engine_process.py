@@ -7,13 +7,22 @@ in exactly the state the scalar ``update`` loop produces.
 
 from __future__ import annotations
 
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines import CSE, ExactCounter, PerUserHLLPP, PerUserLPC, VirtualHLL
 from repro.core import FreeBS, FreeRS
-from repro.engine import DEFAULT_CHUNK_PAIRS, process_stream, supports_batch
+from repro.engine import (
+    DEFAULT_CHUNK_PAIRS,
+    EncodedBatch,
+    ShardedEstimator,
+    process_stream,
+    supports_batch,
+)
+from repro.streams.io import read_edge_file
 from repro.streams.stream import GraphStream
 
 
@@ -31,16 +40,57 @@ FACTORIES = {
     "HLL++": lambda: PerUserHLLPP(1 << 15, expected_users=70, seed=5),
 }
 
+#: The six methods, a sharded estimator whose shards take encoded batches,
+#: and an estimator with only the scalar ``update``.
+CASES = {
+    **FACTORIES,
+    "FreeBS-2-shards": lambda: ShardedEstimator(lambda k: FreeBS(3000, seed=5), shards=2),
+    "Exact": ExactCounter,
+}
+BATCH_CASES = sorted(name for name in CASES if name != "Exact")
+
+#: More pairs than one default chunk, so both chunkings cross a boundary.
+PROCESS_PAIRS = _random_pairs(DEFAULT_CHUNK_PAIRS + 500, seed=1)
+
+
+@functools.cache
+def _scalar_estimates(method):
+    """``(user, estimate)`` of the scalar loop over :data:`PROCESS_PAIRS`, in key order."""
+    estimator = CASES[method]()
+    for user, item in PROCESS_PAIRS:
+        estimator.update(user, item)
+    return list(estimator.estimates().items())
+
+
+def _column_stream(pairs):
+    users, items = zip(*pairs)
+    return GraphStream.from_columns(
+        np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    )
+
 
 class TestProcessRouting:
-    @pytest.mark.parametrize("method", sorted(FACTORIES))
-    def test_process_equals_scalar_loop(self, method):
-        pairs = _random_pairs(2_000, seed=1)
-        scalar = FACTORIES[method]()
-        for user, item in pairs:
-            scalar.update(user, item)
-        processed = FACTORIES[method]().process(pairs, chunk_size=257)
-        assert processed.estimates() == scalar.estimates()
+    @pytest.mark.parametrize("method", sorted(CASES))
+    @pytest.mark.parametrize("form", ["pairs", "columns"])
+    @pytest.mark.parametrize("chunk_size", [257, None])
+    def test_process_equals_scalar_loop(self, method, form, chunk_size):
+        stream = PROCESS_PAIRS if form == "pairs" else _column_stream(PROCESS_PAIRS)
+        processed = CASES[method]().process(stream, chunk_size=chunk_size)
+        assert list(processed.estimates().items()) == _scalar_estimates(method)
+
+    @pytest.mark.parametrize("method", BATCH_CASES)
+    def test_integer_edge_file_never_encodes_pairs(self, method, tmp_path, monkeypatch):
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{user} {item}\n" for user, item in PROCESS_PAIRS))
+        stream = read_edge_file(path)
+        assert stream.columnar
+
+        def refuse(cls, pairs):
+            raise AssertionError("a column stream was encoded as pairs")
+
+        monkeypatch.setattr(EncodedBatch, "from_pairs", classmethod(refuse))
+        processed = CASES[method]().process(stream)
+        assert list(processed.estimates().items()) == _scalar_estimates(method)
 
     def test_process_default_chunking_equals_scalar_loop(self):
         # More pairs than one default chunk, to cover the chunk boundary.
@@ -80,10 +130,3 @@ class TestProcessRouting:
             process_stream(FACTORIES["FreeBS"](), [], chunk_size=-1)
         with pytest.raises(ValueError):
             process_stream(FACTORIES["FreeBS"](), [], chunk_size=0)
-
-    def test_graphstream_with_numpy_integer_ids_feeds_the_encoder(self):
-        import numpy as np
-
-        pairs = list(zip(np.arange(50), np.arange(50) % 7))
-        users, items = GraphStream(pairs).to_int_arrays()
-        assert users.dtype.kind in "iu" and items.dtype.kind in "iu"

@@ -1,11 +1,9 @@
-"""Tests for the sharding layer: routing, equivalence and mergeable state.
+"""Tests for the sharding layer: routing and equivalence.
 
 The property the layer promises (and the acceptance criterion of the engine
 refactor): a sharded run over a stream produces, for every user, exactly
 the estimate an *unsharded* estimator of the same configuration would
-produce if it were fed only the pairs routed to that user's shard — and
-workers that own disjoint shard sets can be merged into a state
-bit-identical to a single-process run.
+produce if it were fed only the pairs routed to that user's shard.
 """
 
 from __future__ import annotations
@@ -99,61 +97,6 @@ class TestShardedEquivalence:
         config = ExperimentConfig(memory_bits=1 << 16)
         built = build_estimators(config, expected_users=10, methods=["FreeBS"], shards=4)
         assert built["FreeBS"].memory_bits() == 1 << 16
-
-
-class TestMerge:
-    def _split_run(self, pairs, shards, owned_by_first):
-        factory = lambda k: FreeBS(2048, seed=9)  # noqa: E731
-        full = ShardedEstimator(factory, shards=shards, seed=4)
-        full.update_batch(pairs)
-        worker_a = ShardedEstimator(factory, shards=shards, seed=4)
-        worker_b = ShardedEstimator(factory, shards=shards, seed=4)
-        worker_a.update_batch(
-            [(u, i) for u, i in pairs if full.shard_of(u) in owned_by_first]
-        )
-        worker_b.update_batch(
-            [(u, i) for u, i in pairs if full.shard_of(u) not in owned_by_first]
-        )
-        return full, worker_a, worker_b
-
-    def test_merge_of_disjoint_workers_equals_single_run(self):
-        pairs = _random_pairs(3_000, seed=10)
-        full, worker_a, worker_b = self._split_run(pairs, shards=4, owned_by_first={0, 1})
-        merged = worker_a.merge(worker_b)
-        assert merged is worker_a
-        assert merged.estimates() == full.estimates()
-        assert merged.shard_pair_counts == full.shard_pair_counts
-
-    def test_merge_is_independent_of_later_source_updates(self):
-        # A worker that keeps streaming after being merged must not mutate
-        # the coordinator's merged state (shards are adopted by deep copy).
-        pairs = _random_pairs(1_000, seed=12)
-        full, worker_a, worker_b = self._split_run(pairs, shards=4, owned_by_first={0, 1})
-        merged = worker_a.merge(worker_b)
-        snapshot = merged.estimates()
-        for user, item in _random_pairs(500, seed=13):
-            worker_b.update(user, item)
-        assert merged.estimates() == snapshot
-
-    def test_merge_rejects_overlapping_shards(self):
-        pairs = _random_pairs(500, seed=11)
-        factory = lambda k: FreeBS(2048, seed=9)  # noqa: E731
-        worker_a = ShardedEstimator(factory, shards=2, seed=4)
-        worker_b = ShardedEstimator(factory, shards=2, seed=4)
-        worker_a.update_batch(pairs)
-        worker_b.update_batch(pairs)
-        with pytest.raises(ValueError, match="disjoint"):
-            worker_a.merge(worker_b)
-
-    def test_merge_rejects_mismatched_configuration(self):
-        factory = lambda k: FreeBS(2048, seed=9)  # noqa: E731
-        base = ShardedEstimator(factory, shards=2, seed=4)
-        with pytest.raises(ValueError):
-            base.merge(ShardedEstimator(factory, shards=3, seed=4))
-        with pytest.raises(ValueError):
-            base.merge(ShardedEstimator(factory, shards=2, seed=5))
-        with pytest.raises(TypeError):
-            base.merge(FreeBS(2048, seed=9))
 
 
 class TestShardedProperty:

@@ -176,14 +176,6 @@ class TestExperimentRuns:
         )
         assert len(table.rows) == 8
 
-    def test_parallel_ingest(self):
-        table = run_experiment(
-            "parallel_ingest", _tiny_config(), dataset="chicago", workers=[1, 2]
-        )
-        rows = table.row_dicts()
-        assert [row["workers"] for row in rows] == [1, 2]
-        assert all(row["estimates_match"] for row in rows)
-
     def test_ablation_m_sensitivity(self):
         table = run_experiment(
             "ablation_m_sensitivity", _tiny_config(), dataset="chicago", sweep=[32, 64]
