@@ -123,7 +123,7 @@ class CSE(BatchUpdatable, CardinalityEstimator):
 
     def _intern_batch(self, batch: EncodedBatch) -> np.ndarray:
         """Arena codes of a batch's unique users (interned in batch order)."""
-        return self._arena.intern_many(batch.users, batch.user_hashes)
+        return self._arena.intern_many(batch.user_keys(), batch.user_hashes)
 
     # -- streaming API --------------------------------------------------------
 
@@ -193,7 +193,7 @@ class CSE(BatchUpdatable, CardinalityEstimator):
 
         # Commit the array state, then publish the time-correct estimates.
         if event_bits.size:
-            self._bits.set_many(event_bits)
+            self._bits.set_new_bits(event_bits)
         self._arena.set_estimates(
             arena_codes, self._estimates_from_counts(virtual_zeros, corrections)
         )

@@ -156,7 +156,7 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
 
     def _intern_batch(self, batch: EncodedBatch) -> np.ndarray:
         """Arena codes of a batch's unique users (interned in batch order)."""
-        return self._arena.intern_many(batch.users, batch.user_hashes)
+        return self._arena.intern_many(batch.user_keys(), batch.user_hashes)
 
     # -- streaming API --------------------------------------------------------
 

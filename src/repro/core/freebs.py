@@ -97,7 +97,7 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         events = bit_change_events(indices, ~self._bits.get_bits(indices))
 
         # Every batch user is reported, in first-appearance order.
-        codes = self._arena.intern_many(batch.users)
+        codes = self._arena.intern_many(batch.user_keys())
         self._arena.publish(codes)
         if events.size == 0:
             return
@@ -106,7 +106,7 @@ class FreeBS(BatchUpdatable, CardinalityEstimator):
         increments = 1.0 / (zeros_before / self.M)
         self._arena.accumulate(codes[batch.user_codes[events]], increments)
 
-        self._bits.set_many(indices[events])
+        self._bits.set_new_bits(indices[events])
         self._pairs_sampled += int(events.size)
 
     def estimate(self, user: object) -> float:

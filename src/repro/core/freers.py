@@ -103,7 +103,7 @@ class FreeRS(BatchUpdatable, CardinalityEstimator):
         )
 
         # Every batch user is reported, in first-appearance order.
-        codes = self._arena.intern_many(batch.users)
+        codes = self._arena.intern_many(batch.user_keys())
         self._arena.publish(codes)
         if positions.size == 0:
             return

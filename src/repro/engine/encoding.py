@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hashing import MASK64, fold_key, fold_key_array, splitmix64, splitmix64_array
-from repro.hashing.mix import _GOLDEN_GAMMA
+from repro.hashing.mix import _GOLDEN_GAMMA, all_int64
 
 UserItemPair = tuple[object, object]
 
@@ -71,6 +71,12 @@ def _first_seen_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniques[order], rank[inverse.reshape(-1)]
 
 
+def _int64_column(users: list[object]) -> np.ndarray | None:
+    """``users`` as an ``int64`` column, or None unless every user is a plain
+    int in the int64 range (:func:`~repro.hashing.mix.all_int64`)."""
+    return np.array(users, dtype=np.int64) if all_int64(users) else None
+
+
 def seed_mix(seed: int) -> np.uint64:
     """Return ``splitmix64(seed)`` as a ``uint64`` scalar (hash-seed premix).
 
@@ -97,12 +103,21 @@ class EncodedBatch:
         ``uint64`` array, one raw 64-bit item fold per pair.
     users:
         List mapping user codes back to the original user objects.
+    user_column:
+        ``int64`` array aligned with ``users`` when every user is a plain
+        ``int`` (not bool) in the int64 range, else None.  Both constructors
+        fill it under that rule, and :meth:`subset` gathers it (or applies
+        the rule to a part of a batch without one), so an integer batch
+        reaches the interners and the score table as one column
+        (:meth:`user_keys`); ``users`` stays the list of Python objects that
+        alerts, ``decode_table`` and the per-user baselines read.
     """
 
     user_codes: np.ndarray
     user_hashes: np.ndarray
     item_hashes: np.ndarray
     users: list[object]
+    user_column: np.ndarray | None = field(default=None, repr=False, compare=False)
     _pair_keys: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -112,6 +127,11 @@ class EncodedBatch:
     def n_users(self) -> int:
         """Number of distinct users in the batch."""
         return len(self.users)
+
+    def user_keys(self) -> list[object] | np.ndarray:
+        """The batch's users as the interners take them: the ``int64``
+        :attr:`user_column` when there is one, else the ``users`` list."""
+        return self.users if self.user_column is None else self.user_column
 
     def pair_keys(self) -> np.ndarray:
         """Seed-independent 64-bit pair keys, equal to ``pair_key(u, i)``.
@@ -146,11 +166,15 @@ class EncodedBatch:
         monitor's window to split one at an epoch rotation.
         """
         parent_codes, part_codes = _first_seen_codes(self.user_codes[mask])
+        users = [self.users[code] for code in parent_codes.tolist()]
+        column = self.user_column
         return EncodedBatch(
             user_codes=part_codes,
             user_hashes=self.user_hashes[parent_codes],
             item_hashes=self.item_hashes[mask],
-            users=[self.users[code] for code in parent_codes.tolist()],
+            users=users,
+            # A part may fit int64 where its parent does not.
+            user_column=_int64_column(users) if column is None else column[parent_codes],
         )
 
     # -- constructors ---------------------------------------------------------
@@ -177,6 +201,7 @@ class EncodedBatch:
             user_hashes=np.asarray(user_folds, dtype=np.uint64),
             item_hashes=np.asarray(item_folds, dtype=np.uint64),
             users=users,
+            user_column=_int64_column(users),
         )
 
     @classmethod
@@ -201,11 +226,18 @@ class EncodedBatch:
         item_folds = fold_key_array(items)
         unique_users, codes = _first_seen_codes(users)
         keys = unique_users.tolist()
+        if unique_users.dtype.kind == "O":
+            keys = [int(key) for key in keys]
         return cls(
             user_codes=codes,
             user_hashes=fold_key_array(unique_users),
             item_hashes=item_folds,
-            users=keys if unique_users.dtype.kind in "iu" else [int(key) for key in keys],
+            users=keys,
+            user_column=(
+                unique_users.astype(np.int64, copy=False)
+                if unique_users.dtype.kind == "i"
+                else _int64_column(keys)
+            ),
         )
 
 

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Sequence
+from typing import cast
 
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -103,6 +107,20 @@ def fold_key_array(values: np.ndarray) -> np.ndarray:
         # which is exactly the scalar `int(key) & MASK64`.
         return array.astype(np.int64).astype(np.uint64)
     return np.array([fold_key(value) for value in array.tolist()], dtype=np.uint64)
+
+
+def all_int64(keys: Sequence[object]) -> bool:
+    """True if every key is a plain ``int`` (not bool) in the int64 range.
+
+    Exactly the keys an ``int64`` column holds losslessly and gives back as
+    the same Python ints (``column.tolist()``); True for no keys.
+    """
+    if not keys:
+        return True
+    if set(map(type, keys)) != {int}:
+        return False
+    ints = cast("Sequence[int]", keys)
+    return INT64_MIN <= min(ints) and max(ints) <= INT64_MAX
 
 
 def hash64(key: object, seed: int = 0) -> int:

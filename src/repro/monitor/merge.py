@@ -69,7 +69,7 @@ from repro.engine.base import hot_path
 from repro.engine.sharded import ShardedEstimator
 from repro.registry.specs import ADDITIVE, MERGE_SPECS, PER_USER, SHARED_ARRAY, MergeSpec
 from repro.state import UserArena
-from repro.state.interner import int_probes
+from repro.state.interner import Keys, key_list
 
 #: Merge semantics per estimator class: ``exact`` means the merged estimate
 #: equals a single run's fresh re-estimate over the union stream;
@@ -493,20 +493,22 @@ def sliding_prefix(estimators: Sequence):
 
 
 @hot_path
-def additive_rescore(estimators: Sequence, users: list) -> tuple[list, np.ndarray]:
+def additive_rescore(estimators: Sequence, users: Keys) -> tuple[Keys, np.ndarray]:
     """Sliding-window estimates of a few (unique) ``users`` of an additive window.
 
     Each value is the left fold of the user's per-epoch estimates in ring
     order, starting from 0.0 — the sum ``merged_copy`` computes, so the
     values are bit-identical to a full sliding merge's.  The users come
     back in the order that merge lists them: as given, or for sharded
-    epochs grouped by shard (batch order within a shard).
+    epochs grouped by shard (batch order within a shard), and in the form
+    given — an ``int64`` column stays one, probing each epoch's integer
+    index directly.
     """
     first = estimators[0]
     if isinstance(first, ShardedEstimator):
         shard_ids = first.shards_of(users)
         order = np.argsort(shard_ids, kind="stable")
-        grouped = [users[position] for position in order.tolist()]
+        grouped = users[order] if isinstance(users, np.ndarray) else key_list(users, order)
         bounds = np.searchsorted(
             shard_ids[order], np.arange(first.num_shards + 1)
         ).tolist()
@@ -518,9 +520,7 @@ def additive_rescore(estimators: Sequence, users: list) -> tuple[list, np.ndarra
             for shard in range(first.num_shards)
         ]
         return grouped, np.concatenate(parts)
-    probes = int_probes(users)
-    probe = users if probes is None else probes
     values = np.zeros(len(users), dtype=np.float64)
     for estimator in estimators:  # repro-lint: disable=RL003(one column per retained epoch: at most window_epochs passes)
-        values += estimator._arena.estimate_column(probe)
+        values += estimator._arena.estimate_column(users)
     return users, values

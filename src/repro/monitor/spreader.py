@@ -31,6 +31,7 @@ from repro.monitor.merge import ADDITIVE, additive_rescore, as_columns, merge_ex
 from repro.monitor.topk import TopKTracker
 from repro.monitor.window import Batch, WindowedEstimator
 from repro.state import FrozenScores, ScoreTable
+from repro.state.interner import Keys, key_list
 
 _log = obs.get_logger("monitor.spreader")
 
@@ -143,13 +144,14 @@ class SpreaderMonitor:
 
         Between epoch rotations, methods with *additive* sliding merges
         (FreeBS/FreeRS, sharded included) take the incremental path: only
-        the users touched by this batch (``batch.users``, first-seen) are
-        re-scored (their windowed estimate is the left-fold sum of their
-        per-epoch estimates — one estimate-column gather per epoch), and
-        the continuous top-k absorbs just those updates.  Any rotation, and
-        every exact-merge method, falls back to the full re-evaluation in
-        :meth:`evaluate`.  Both paths produce bit-identical estimates, key
-        order and top-k (asserted by the property suite).
+        the users touched by this batch (``batch.user_keys()``, first-seen;
+        an integer batch's ``int64`` column) are re-scored (their windowed
+        estimate is the left-fold sum of their per-epoch estimates — one
+        estimate-column gather per epoch), and the continuous top-k absorbs
+        just those updates.  Any rotation, and every exact-merge method,
+        falls back to the full re-evaluation in :meth:`evaluate`.  Both
+        paths produce bit-identical estimates, key order and top-k
+        (asserted by the property suite).
         """
         batch = self.window.prepare(batch)
         # Ingest that bypassed observe() (direct window.ingest calls) makes
@@ -164,7 +166,7 @@ class SpreaderMonitor:
             and self._primed
             and self._can_increment()
         ):
-            return self._evaluate_incremental(batch.users)
+            return self._evaluate_incremental(batch.user_keys())
         return self.evaluate()
 
     def _can_increment(self) -> bool:
@@ -218,7 +220,7 @@ class SpreaderMonitor:
         return alerts
 
     @hot_path
-    def _evaluate_incremental(self, touched: list[object]) -> list[AlertEvent]:
+    def _evaluate_incremental(self, touched: Keys) -> list[AlertEvent]:
         """Re-score only the batch's users (additive methods, no rotation).
 
         A touched user's windowed estimate is the sum of its per-epoch
@@ -248,11 +250,12 @@ class SpreaderMonitor:
         # Scan the candidates in first-seen (score-table rank) order so alert
         # emission order and sequence numbers match what a full evaluation
         # of the same state emits — the snapshot-resume identity contract.
+        # Alert users are Python objects (ints from a column), as served.
         candidates = np.flatnonzero(values >= enter)
         candidates = candidates[np.argsort(scores.ranks_at(codes[candidates]))]
+        candidate_users = key_list(users, candidates)
         candidate_values = values[candidates].tolist()
-        for position, estimate in zip(candidates.tolist(), candidate_values):  # repro-lint: disable=RL003(start-alert candidates only: batch users at or above the enter threshold)
-            user = users[position]
+        for user, estimate in zip(candidate_users, candidate_values):
             if user not in self._active:
                 self._active[user] = True
                 alerts.append(self._emit("start", user, estimate, enter, epoch, timestamp))

@@ -32,7 +32,7 @@ ingest/rotation sequences.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro import obs
 from repro.engine.base import hot_path
 from repro.monitor.merge import as_columns
 from repro.state import ScoreTable
+from repro.state.interner import Keys
 
 
 class TopKTracker:
@@ -106,8 +107,9 @@ class TopKTracker:
     # -- incremental updates ---------------------------------------------------
 
     @hot_path
-    def apply_updates(self, users: Sequence[object], values: np.ndarray) -> np.ndarray:
-        """Re-score only ``users`` (unique) to ``values``; keep the head exact.
+    def apply_updates(self, users: Keys, values: np.ndarray) -> np.ndarray:
+        """Re-score only ``users`` (unique; a list or an ``int64`` column) to
+        ``values``; keep the head exact.
 
         Returns the users' score-table codes.  Requires monotone
         non-decreasing scores (the additive methods' between-rotation

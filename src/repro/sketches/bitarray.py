@@ -73,6 +73,19 @@ class BitArray:
         self._ones += newly_set
         return newly_set
 
+    def set_new_bits(self, indices: np.ndarray) -> None:
+        """Set bits that are distinct and currently zero (change events).
+
+        The commit step for :func:`~repro.engine.kernels.bit_change_events`
+        output, whose bits are distinct and were zero at batch start: every
+        one transitions, so no sort is needed to count them.  Input with
+        duplicates or set bits goes through :meth:`set_many`.
+        """
+        word_indices = indices >> 6
+        masks = np.uint64(1) << (indices & 63).astype(np.uint64)
+        np.bitwise_or.at(self._words, word_indices, masks)
+        self._ones += int(indices.size)
+
     def union_update(self, other: BitArray) -> None:
         """OR another same-size array into this one (sketch-level union).
 

@@ -22,23 +22,23 @@ Pure-int key populations also get an integer probe index
 (:class:`IntIndex`): a dense ``key - lo -> code`` table when the ids are
 dense enough, sorted ``np.searchsorted`` arrays otherwise.  It turns a
 batch membership probe into one vectorised gather instead of one dict hop
-per user.  The index persists: the writer extends it by the keys interned
-since its last extension and publishes each extension as a new tuple, so
-a reader holding a frozen prefix of the codes can probe it concurrently.
+per user, and lets an ``int64`` key column be interned without boxing its
+known keys (:meth:`UserInterner.intern_many`).  The index persists: the
+writer extends it by the keys interned since its last extension and
+publishes each extension as a new tuple, so a reader holding a frozen
+prefix of the codes can probe it concurrently.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import repeat
-from typing import NamedTuple, cast
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.hashing import fold_key
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+from repro.hashing import fold_key, fold_key_array
+from repro.hashing.mix import INT64_MAX, INT64_MIN, all_int64
 
 #: A batch of keys: any sequence, or an integer array standing for its ints.
 Keys = Sequence[object] | np.ndarray
@@ -68,7 +68,7 @@ def int_probes(keys: Keys) -> np.ndarray | None:
     if kind == "i":
         return arr.astype(np.int64, copy=False)
     if kind == "u":
-        if arr.size and int(arr.max()) > _INT64_MAX:
+        if arr.size and int(arr.max()) > INT64_MAX:
             return None
         return arr.astype(np.int64)
     return None
@@ -249,7 +249,7 @@ class UserInterner:
             folds = self._grow_folds(code + 1)
             folds[code] = fold if fold is not None else fold_key(key)
         if self._int_only and not (
-            type(key) is int and _INT64_MIN <= key <= _INT64_MAX
+            type(key) is int and INT64_MIN <= key <= INT64_MAX
         ):
             self._int_only = False
         return code
@@ -259,23 +259,28 @@ class UserInterner:
 
         ``folds`` — when the caller already holds the keys' 64-bit folds
         (:attr:`EncodedBatch.user_hashes` is exactly that, aligned with
-        ``batch.users``) — skips recomputing ``fold_key`` per new key.
+        ``batch.users`` and ``batch.user_column``) — skips recomputing
+        ``fold_key`` per new key.
 
-        Known keys resolve through :meth:`lookup_many` (so this is a
-        writer-side call).  The misses are interned in bulk, deduplicated
-        in first-appearance order under the dict's own key equality, so new
-        codes follow first appearance exactly as one :meth:`intern` call per
-        key would assign them.
+        Either path assigns new codes in first appearance, exactly as one
+        :meth:`intern` call per key would, and both are writer-side calls:
+
+        * an ``int64`` array into a pure-int interner (the column an
+          integer :class:`~repro.engine.EncodedBatch` carries) never leaves
+          numpy: the probe index resolves known keys, the misses are
+          deduplicated with one ``np.unique``, and only the new keys are
+          boxed, once, for the dict and the key list;
+        * anything else resolves known keys through :meth:`lookup_many` and
+          interns the misses in bulk, deduplicated under the dict's own key
+          equality.
         """
+        if self._int_only and isinstance(keys, np.ndarray) and keys.dtype == np.int64:
+            return self._intern_column(keys, folds)
         codes = self.lookup_many(keys)
         missing = np.flatnonzero(codes < 0)
         if missing.size == 0:
             return codes
-        missed: list[object]
-        if isinstance(keys, np.ndarray):
-            missed = keys[missing].tolist()
-        else:
-            missed = [keys[position] for position in missing.tolist()]
+        missed = key_list(keys, missing)
         fresh = list(dict.fromkeys(missed))
         repeated = len(fresh) != len(missed)
         fresh_folds: np.ndarray | None = None
@@ -296,6 +301,36 @@ class UserInterner:
             codes[missing] = np.arange(start, start + len(fresh), dtype=np.int64)
         return codes
 
+    def _intern_column(self, keys: np.ndarray, folds: np.ndarray | None) -> np.ndarray:
+        """:meth:`intern_many` of an ``int64`` column into a pure-int interner."""
+        start = len(self._keys)
+        index = self.int_index()
+        if index is None:
+            codes = np.full(keys.size, -1, dtype=np.int64)
+        else:
+            codes = index.probe(keys, start)
+        missing = np.flatnonzero(codes < 0)
+        if missing.size == 0:
+            return codes
+        missed = keys[missing]
+        uniques, first, inverse = np.unique(missed, return_index=True, return_inverse=True)
+        # New codes follow first appearance: rank the uniques by first position.
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(start, start + order.size, dtype=np.int64)
+        codes[missing] = rank[inverse.reshape(-1)]
+        fresh = uniques[order]
+        fresh_keys = fresh.tolist()
+        self._codes.update(zip(fresh_keys, range(start, start + fresh.size)))
+        self._keys.extend(fresh_keys)
+        if self._track_folds:
+            column = self._grow_folds(start + fresh.size)
+            column[start : start + fresh.size] = (
+                fold_key_array(fresh) if folds is None else folds[missing[first[order]]]
+            )
+        self._int_index = _extend_index(index, fresh, start)
+        return codes
+
     def _append(self, fresh: list[object], folds: np.ndarray | None) -> None:
         """Give the new, distinct keys ``fresh`` the next codes, in order."""
         start = len(self._keys)
@@ -306,7 +341,7 @@ class UserInterner:
             if folds is None:
                 folds = np.fromiter(map(fold_key, fresh), dtype=np.uint64, count=len(fresh))
             column[start : start + len(fresh)] = folds
-        if self._int_only and not _all_int64(fresh):
+        if self._int_only and not all_int64(fresh):
             self._int_only = False
 
     # -- lookup ------------------------------------------------------------------
@@ -349,9 +384,10 @@ class UserInterner:
         """Extend the probe index to every interned key and publish it.
 
         Writer-side only (the thread that interns; in the service, under the
-        ingest lock): each call adds the keys interned since the previous
-        one, so a dense table costs O(new keys) per call.  None while any
-        key is not a plain int64-range int, or before the first intern.
+        ingest lock): each call adds the keys interned since the last
+        extension (an ``int64`` :meth:`intern_many` extends it itself), so a
+        dense table costs O(new keys) per call.  None while any key is not
+        a plain int64-range int, or before the first intern.
         """
         if not self._int_only:
             self._int_index = None
@@ -389,11 +425,8 @@ class UserInterner:
         return total
 
 
-def _all_int64(keys: list[object]) -> bool:
-    """True if every key is a plain ``int`` (not bool) in the int64 range."""
-    if not keys:
-        return True
-    if set(map(type, keys)) != {int}:
-        return False
-    ints = cast("list[int]", keys)
-    return _INT64_MIN <= min(ints) and max(ints) <= _INT64_MAX
+def key_list(keys: Keys, positions: np.ndarray) -> list[object]:
+    """``[keys[p] for p in positions]``; an array's ints come back as Python ints."""
+    if isinstance(keys, np.ndarray):
+        return keys[positions].tolist()
+    return [keys[position] for position in positions.tolist()]

@@ -21,10 +21,10 @@ O(1) in the table size: the frozen view borrows the live columns, and the
 table copies them for itself before its next mutation (copy-on-write with
 ownership handoff — the frozen view keeps the originals, which are never
 written again, so concurrent readers can gather from a snapshot while
-ingest keeps mutating the table).  Checkout also extends the interner's
-integer probe index by the keys interned since the previous one, so the
-frozen view's ``gather_exact`` probes an index that persists across
-checkouts instead of building its own.
+ingest keeps mutating the table).  The frozen view's ``gather_exact``
+probes the interner's integer probe index, which persists across
+checkouts: an ``int64`` :meth:`ScoreTable.put_many` extends it as it
+interns, and checkout catches it up to keys interned from lists.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.base import hot_path
-from repro.state.interner import UserInterner, int_probes
+from repro.state.interner import Keys, UserInterner, int_probes
 
 
 class ScoreTable(Mapping):
@@ -80,8 +80,8 @@ class ScoreTable(Mapping):
         """An immutable snapshot of the current scores (see module doc).
 
         O(1) in the table size: the columns are loaned, and the interner's
-        integer probe index is extended by the keys interned since the last
-        checkout — here, on the writer's side, so readers never build it.
+        integer probe index is extended by any keys it does not cover yet —
+        here, on the writer's side, so readers never build it.
         """
         self._interner.int_index()
         self._loaned = True
@@ -136,15 +136,14 @@ class ScoreTable(Mapping):
         return float(self._values[code])
 
     @hot_path
-    def put_many(
-        self, keys: Sequence[object], values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def put_many(self, keys: Keys, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Set ``keys[i] -> values[i]`` in order, as dict assignment would (keys unique).
 
-        Returns ``(codes, previous)``: the keys' codes and their previous
-        scores, NaN where a key was absent.  New and re-inserted keys take
-        fresh ranks in ``keys`` order (a re-inserted key moves to the end),
-        and present keys keep theirs.
+        ``keys`` may be an ``int64`` column, which a pure-int table interns
+        without boxing its known keys.  Returns ``(codes, previous)``: the
+        keys' codes and their previous scores, NaN where a key was absent.
+        New and re-inserted keys take fresh ranks in ``keys`` order (a
+        re-inserted key moves to the end), and present keys keep theirs.
         """
         codes = self._interner.intern_many(keys)
         self._ensure_capacity(len(self._interner) - 1)
@@ -156,14 +155,16 @@ class ScoreTable(Mapping):
         if inserted.size:
             # While rank order is code order every code is present, so each
             # inserted key is new and takes the next code: the order stays
-            # the identity.
+            # the identity.  Otherwise the inserted keys rank above every
+            # present key, in ``keys`` order, so they extend a cached order.
             self._present[inserted] = True
             self._rank[inserted] = np.arange(
                 self._next_rank, self._next_rank + inserted.size, dtype=np.int64
             )
             self._next_rank += int(inserted.size)
             self._count += int(inserted.size)
-            self._order_cache = None
+            if self._order_cache is not None:
+                self._order_cache = np.concatenate((self._order_cache, inserted))
         return codes, previous
 
     def ranks_at(self, codes: np.ndarray) -> np.ndarray:
@@ -174,7 +175,7 @@ class ScoreTable(Mapping):
         """The scores of ``codes`` (one column gather)."""
         return self._values[codes]
 
-    def replace(self, keys: Sequence[object], values: np.ndarray) -> None:
+    def replace(self, keys: Keys, values: np.ndarray) -> None:
         """Make the table hold exactly ``keys -> values`` (keys unique).
 
         Same result as deleting every absent key in table order, then

@@ -81,6 +81,20 @@ class TestBitArrayBulk:
         assert flipped == 3
         assert bits.ones == 3
 
+    @pytest.mark.parametrize("size", [64, 65, 200, 1 << 12])
+    def test_set_new_bits_matches_set_many(self, size):
+        """Distinct bits that are zero leave the words and ``ones`` that
+        ``set_many`` leaves, in any order, across several commits."""
+        rng = np.random.default_rng(size)
+        by_many, by_new = BitArray(size), BitArray(size)
+        for _ in range(4):
+            zero = np.flatnonzero(~by_many.to_numpy())
+            fresh = rng.permutation(zero)[: rng.integers(0, zero.size + 1)]
+            assert by_many.set_many(fresh) == fresh.size
+            by_new.set_new_bits(fresh.astype(np.int64))
+            assert by_new._words.tolist() == by_many._words.tolist()
+            assert by_new.ones == by_many.ones == by_new.recount()
+
     def test_get_bits(self):
         bits = BitArray(128)
         for index in (5, 70, 127):

@@ -133,6 +133,20 @@ def _assert_same_batch(actual: EncodedBatch, expected: EncodedBatch) -> None:
         assert got.dtype == want.dtype, name
         assert got.tolist() == want.tolist(), name
     assert actual.pair_keys().tolist() == expected.pair_keys().tolist()
+    _assert_user_keys(actual)
+    _assert_user_keys(expected)
+    assert (actual.user_column is None) == (expected.user_column is None)
+
+
+def _assert_user_keys(batch: EncodedBatch) -> None:
+    """``user_keys()`` is the ``int64`` column exactly when every user is a
+    plain int64 ``int``, and holds the users' values either way."""
+    keys = batch.user_keys()
+    if all(type(user) is int and -(2**63) <= user < 2**63 for user in batch.users):
+        assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+        assert keys.tolist() == batch.users
+    else:
+        assert keys is batch.users and batch.user_column is None
 
 
 class TestEncodedBatch:
@@ -172,6 +186,39 @@ class TestEncodedBatch:
         for position, (user, _) in enumerate(kept):
             assert sub.users[int(sub.user_codes[position])] == user
 
+    @pytest.mark.parametrize(
+        "users",
+        [
+            np.array([5, 2**63, 5], dtype=np.uint64),
+            np.array([-1, 2**63, -1], dtype=object),
+        ],
+        ids=["uint64-beyond-int64", "object-negative-and-beyond-int64"],
+    )
+    def test_user_keys_is_the_list_beyond_int64(self, users):
+        items = np.arange(users.size, dtype=np.int64)
+        for batch in (
+            EncodedBatch.from_int_arrays(users, items),
+            EncodedBatch.from_pairs(list(zip(users.tolist(), items.tolist()))),
+        ):
+            assert batch.user_column is None
+            assert batch.user_keys() is batch.users
+            assert batch.subset(slice(0, 2)).user_keys() == batch.users[:2]
+            # A part that fits int64 carries the column, as from_pairs of it would.
+            assert batch.subset(slice(0, 1)).user_keys().tolist() == batch.users[:1]
+
+    def test_user_keys_is_the_list_with_a_bool_user(self):
+        batch = EncodedBatch.from_pairs([(3, 1), (True, 2), (4, 3)])
+        assert batch.user_keys() == [3, True, 4]
+        assert batch.subset(slice(1, 3)).user_keys() == [True, 4]
+        assert batch.subset(slice(0, 1)).user_keys().tolist() == [3]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, object])
+    def test_user_keys_is_the_column_for_every_int64_id(self, dtype):
+        users = np.array([7, 0, 2**31 - 1, 7], dtype=dtype)
+        batch = EncodedBatch.from_int_arrays(users, np.arange(4))
+        assert batch.user_keys().dtype == np.int64
+        assert batch.user_keys().tolist() == batch.users == [7, 0, 2**31 - 1]
+
     def test_legacy_encode_pairs_shape(self):
         pairs = [("alice", "x"), ("bob", "y"), ("alice", "x")]
         codes, keys, decode = encode_pairs(pairs)
@@ -190,7 +237,8 @@ _ID_RANGES = {
 
 class TestFromIntArraysContract:
     """``from_int_arrays`` is ``from_pairs`` of the same pairs, field for
-    field, and so is every rotation split of a batch."""
+    field (``user_keys()`` included), and so is every rotation split of a
+    batch."""
 
     @pytest.mark.parametrize("kind", list(_ID_RANGES))
     @settings(max_examples=40, deadline=None)

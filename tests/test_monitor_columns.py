@@ -6,8 +6,10 @@ timestamp arrays; a tuple stream reaches it as lists of pairs, encoded once
 per batch.  For every method, sharded or not, with rotations inside a batch
 (``epoch_pairs`` off the batch grid) and with regressed timestamps
 (``epoch_span``, clamped or strict), both paths must leave the same
-estimates, key order, top-k, alerts (thresholds included), regression count
-and snapshot bytes — and so must a resume from the same checkpoint.
+estimates, key order, top-k, alerts (thresholds and feed records included),
+regression count and snapshot bytes — and so must a resume from the same
+checkpoint.  Served user keys are Python ints on both paths: a numpy scalar
+would compare equal to one, but reaches the JSON feed as a string.
 
 The vectorised timestamp clamp is also checked against the per-pair loop it
 replaced, on inputs with NaN, signed zeros and infinities.
@@ -38,6 +40,8 @@ from repro.monitor import (
     replay_feed,
 )
 from repro.runtime import batch_slices, ingest_handle_for_monitor
+from repro.state import UserInterner
+from repro.state.interner import _VECTOR_MIN
 from repro.streams.stream import GraphStream
 
 METHODS = [(method, 1) for method in ("FreeBS", "FreeRS", "CSE", "vHLL", "LPC", "HLL++")]
@@ -102,14 +106,27 @@ def _run_columns(monitor, users, items, times=None, start=0):
     return alerts
 
 
+def _typed(items) -> list:
+    """``(type(key), key, value)`` per entry: ``np.int64(5) == 5``, but a
+    numpy scalar key is served differently."""
+    return [(type(key), key, value) for key, value in items]
+
+
 def _state(monitor: SpreaderMonitor, alerts) -> dict:
     window = monitor.window
+    estimates = _typed(monitor.last_window_estimates().items())
+    sliding = _typed(monitor.sliding_estimates().items())
+    top = _typed(monitor.current_top)
+    # Both paths intern int64 columns, so compare against the served type too.
+    served = [kind for kind, _, _ in estimates + sliding + top]
+    assert set(served + [type(alert.user) for alert in alerts]) <= {int}
     return {
         "snapshot": json.dumps(monitor_to_json(monitor)),
-        "estimates": list(monitor.last_window_estimates().items()),
-        "sliding": list(monitor.sliding_estimates().items()),
-        "top": monitor.current_top,
+        "estimates": estimates,
+        "sliding": sliding,
+        "top": top,
         "alerts": alerts,
+        "feed": [alert.to_json() for alert in alerts],
         "threshold": monitor.last_enter_threshold,
         "regressions": window.regressions,
         # repr: a NaN clock must compare equal to itself
@@ -178,6 +195,38 @@ def test_resume_from_one_checkpoint_alike(method, shards, mode):
     column_alerts = _run_columns(by_columns, users, items, times, start=offset)
     assert by_columns.window.pairs_ingested == _PAIRS
     assert _state(by_columns, column_alerts) == _state(by_tuples, tuple_alerts)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_interners_take_the_column_between_rotations(shards, monkeypatch):
+    """Once primed, a batch that does not rotate reaches every interner of
+    an additive monitor (epoch arenas, rescoring probes, score table) as
+    the batch's ``int64`` column, never as a list of its users."""
+    armed = [False]
+
+    def guarded(original):
+        def call(self, keys, *args):
+            if armed[0] and isinstance(keys, list) and len(keys) > _VECTOR_MIN:
+                raise AssertionError(f"{original.__name__} took a list of {len(keys)} keys")
+            return original(self, keys, *args)
+
+        return call
+
+    for name in ("intern_many", "lookup_many"):
+        monkeypatch.setattr(UserInterner, name, guarded(getattr(UserInterner, name)))
+    users, items = _columns()
+    monitor = _spec("FreeBS", shards).build()
+    window = monitor.window
+    checked = 0
+    for batch, _times in batch_slices(GraphStream.from_columns(users, items), None, _BATCH):
+        rotates = window.live_epoch.pairs + len(batch) > window.epoch_pairs
+        armed[0] = monitor.full_evaluations > 0 and not rotates
+        before = monitor.incremental_evaluations
+        monitor.observe(batch)
+        if armed[0]:
+            assert monitor.incremental_evaluations == before + 1
+            checked += 1
+    assert checked >= 4
 
 
 def _odd_clock(kind: str) -> np.ndarray:

@@ -14,6 +14,7 @@ and occupancy gauges in the process metrics registry.
 from __future__ import annotations
 
 import copy
+import struct
 import threading
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core.serialization import dumps, loads
 from repro.hashing import HashFamily, fold_key
 from repro.monitor.window import WindowedEstimator
 from repro.state import DENSE_POSITIONS_LIMIT, FrozenScores, ScoreTable, UserArena, UserInterner
+from repro.state.interner import _index_items
 
 _SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -75,22 +77,38 @@ class TestInterner:
         [
             [list(range(10)), [3, 12, 12, 0, 11, 40, 12], list(range(5, 60, 2))],
             [[10**9 * k for k in range(8)], [5, 10**9, 5, 7 * 10**9, 10**12]],
+            [[-5, -1, -3, 0, 2, -1], [-(2**63), 2**63 - 1, -5, 7, 7, -(2**63)]],
+            [[3], [3, 4], [1, 2, 3, 4], [4, 5, 5], [], [9, 8, 7, 6, 5, 4]],
+            [[7, 7, 7, 9, 9, 1], [1, 9, 11, 11, 7, 12, 12], [13, 13, 13, 13, 13, 13]],
             [[1, 2, 3, 4, 5, 6], [True, 1, 7, True, 8, 9], [2, 3, 4, 5, 6, 10]],
             [["a", 1, "a", (2, 3), b"x", 1], [1, "1", (2, 3), 4, 5, 6]],
         ],
-        ids=["dense", "sparse", "bool-collides-with-1", "mixed"],
+        ids=[
+            "dense",
+            "sparse",
+            "negative",
+            "at-most-vector-min",
+            "misses-repeat",
+            "bool-collides-with-1",
+            "mixed",
+        ],
     )
-    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
-    def test_intern_many_matches_intern_loop(self, batches, as_array):
+    @pytest.mark.parametrize("form", ["list", "array", "alternating"])
+    def test_intern_many_matches_intern_loop(self, batches, form):
         """Bulk interning assigns the codes, order and folds of one intern() per key.
 
         Each batch is probed first (so integer batches go through the
         probe index), duplicates inside a batch keep their first position's
-        fold, and a bool key still collides with the int 1.
+        fold, and a bool key still collides with the int 1.  An all-int
+        batch goes in as an ``int64`` array in ``array`` form, and every
+        other batch does in ``alternating`` form, so an array follows
+        keys interned from a list.  Keys keep their Python types, and the
+        probe index holds exactly the intern loop's items.
         """
         bulk, loop = UserInterner(), UserInterner()
-        for batch in batches:
+        for number, batch in enumerate(batches):
             keys = batch
+            as_array = form == "array" or (form == "alternating" and number % 2)
             if as_array and all(type(key) is int for key in batch):
                 keys = np.array(batch, dtype=np.int64)
             folds = np.array(
@@ -102,10 +120,67 @@ class TestInterner:
                 loop.lookup(key) if loop.lookup(key) < len(bulk) else -1 for key in batch
             ]
             assert bulk.intern_many(keys, folds).tolist() == expected
-            assert bulk.users() == loop.users()
-            codes = np.arange(len(loop), dtype=np.int64)
-            assert bulk.folds(codes).tolist() == loop.folds(codes).tolist()
-            assert bulk._int_only == loop._int_only
+            _assert_same_interner(bulk, loop)
+
+    @_SETTINGS
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.integers(-40, 40),
+                        st.integers(-(2**63), 2**63 - 1),
+                        st.sampled_from(["a", True, 2**64]),
+                    ),
+                    max_size=12,
+                ),
+                st.booleans(),
+                st.booleans(),
+            ),
+            max_size=8,
+        )
+    )
+    def test_intern_many_matches_intern_loop_in_any_form(self, batches):
+        """Any sequence of batches, each interned from a list or (when all
+        plain ints) an ``int64`` array, with or without a prior probe and
+        caller folds, leaves the interner one intern() per key leaves."""
+        bulk, by_list, loop = UserInterner(), UserInterner(), UserInterner()
+        for batch, probe_first, with_folds in batches:
+            keys = batch
+            if all(type(key) is int and -(2**63) <= key < 2**63 for key in batch):
+                keys = np.array(batch, dtype=np.int64)
+            folds = None
+            if with_folds:
+                folds = np.array(
+                    [fold_key(key) ^ (position + 1) for position, key in enumerate(batch)],
+                    dtype=np.uint64,
+                )
+            expected = [
+                loop.intern(key, None if folds is None else int(folds[position]))
+                for position, key in enumerate(batch)
+            ]
+            if probe_first:
+                bulk.lookup_many(keys)
+            assert bulk.intern_many(keys, folds).tolist() == expected
+            assert by_list.intern_many(list(batch), folds).tolist() == expected
+        _assert_same_interner(bulk, loop)
+        _assert_same_interner(by_list, loop)
+
+
+def _assert_same_interner(bulk: UserInterner, loop: UserInterner) -> None:
+    """Same keys (types included), folds, int-only flag and probe index items."""
+    assert bulk.users() == loop.users()
+    assert [type(key) for key in bulk.users()] == [type(key) for key in loop.users()]
+    codes = np.arange(len(loop), dtype=np.int64)
+    assert bulk.folds(codes).tolist() == loop.folds(codes).tolist()
+    assert bulk._int_only == loop._int_only
+    index, reference = bulk.int_index(), loop.int_index()
+    assert (index is None) == (reference is None)
+    if index is not None:
+        assert index.size == reference.size == len(loop)
+        assert [array.tolist() for array in _index_items(index)] == [
+            array.tolist() for array in _index_items(reference)
+        ]
 
 
 class TestArenaPositions:
@@ -360,6 +435,41 @@ class TestScoreTable:
                 (table.key_at(code), table.value_at(code)) for code in table.top_codes(3)
             ] == expected_top
 
+    @_SETTINGS
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["put", "replace"]),
+                st.lists(
+                    st.tuples(st.integers(0, 12), st.floats(0, 1000, allow_nan=False)),
+                    unique_by=lambda entry: entry[0],
+                    max_size=8,
+                ),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_cached_order_survives_inserts(self, ops):
+        """Once a replace deletes keys, rank order is not code order; inserts
+        by put_many then extend the cached order instead of dropping it.  It
+        always equals a fresh argsort by rank, and total() sums in it."""
+        table = ScoreTable()
+        for op, entries, as_column in ops:
+            keys = [user for user, _ in entries]
+            values = np.array([score for _, score in entries], dtype=np.float64)
+            batch = np.array(keys, dtype=np.int64) if as_column else keys
+            if op == "put":
+                table.put_many(batch, values)
+            else:
+                table.replace(batch, values)
+            n = len(table._interner)
+            present = np.flatnonzero(table._present[:n])
+            expected = present[np.argsort(table._rank[present])]
+            assert table.ordered_codes().tolist() == expected.tolist()
+            total = float(table._values[expected].sum()) if expected.size else 0.0
+            assert struct.pack("<d", table.total()) == struct.pack("<d", total)
+
     def test_top_codes_equal_stable_sort(self):
         table = ScoreTable()
         values = [5.0, 3.0, 5.0, 1.0, 9.0, 3.0]
@@ -461,6 +571,16 @@ class TestScoreTable:
         checkout after each call; every checkout a reader holds must keep
         answering with exactly the keys and scores it froze.
         """
+        self._grow_under_readers(spacing, column=False)
+
+    @pytest.mark.parametrize("spacing", [1, 10**6], ids=["dense-table", "sorted-arrays"])
+    def test_probe_index_grows_from_columns_under_concurrent_readers(self, spacing):
+        """As above, with ``int64`` columns: put_many extends the probe index
+        as it interns, not at the next checkout."""
+        self._grow_under_readers(spacing, column=True)
+
+    @staticmethod
+    def _grow_under_readers(spacing: int, column: bool) -> None:
         import sys
 
         table = ScoreTable()
@@ -493,7 +613,8 @@ class TestScoreTable:
             keys = list(first)
             for start in range(1, 10_000, 37):
                 batch = [spacing * key for key in range(start, start + 50)]
-                table.put_many(batch, np.array(batch, dtype=np.float64))
+                keys_in = np.array(batch, dtype=np.int64) if column else batch
+                table.put_many(keys_in, np.array(batch, dtype=np.float64))
                 keys = list(dict.fromkeys(keys + batch))
                 published.append((table.checkout(), keys))
         finally:
