@@ -18,7 +18,13 @@ Complexity: every estimate refresh costs O(m) because the virtual sketch has
 to be scanned; the paper's Challenge 2 is precisely this cost.  Following the
 evaluation protocol of the paper (Section V-B), the streaming wrapper only
 re-estimates the cardinality of the *arriving* user after each update and
-keeps a per-user counter of the latest estimate.
+keeps a per-user counter of the latest estimate.  The scalar ``update``
+refreshes the counter on every pair.  The batch path keeps the same
+counter values but defers them: it commits a batch's bit flips and logs
+them, and the first read of the cached estimates works out every owed
+value in one pass over the log (:meth:`CSE.settle`).  A read therefore
+costs O(m) per user that arrived since the previous read; the served
+sliding merge reads the array, not the counters, so it never pays it.
 
 Known limitations faithfully reproduced:
 
@@ -42,6 +48,7 @@ from repro.engine.kernels import (
     event_time_for_index,
     last_occurrence,
     map_distinct,
+    row_blocks,
     touched_query_positions,
 )
 from repro.hashing import HashFamily, hash64
@@ -128,7 +135,12 @@ class CSE(BatchUpdatable, CardinalityEstimator):
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
-        """Process one (user, item) pair; refresh only this user's estimate (O(m))."""
+        """Process one (user, item) pair; refresh only this user's estimate (O(m)).
+
+        Settles first: the log the deferred estimates read does not record
+        this path's flips.
+        """
+        self.settle()
         code = self._arena.intern(user)
         positions = self._arena.positions_row(code)
         bucket = hash64(item, seed=self.seed ^ 0xD1) % self.m
@@ -142,68 +154,87 @@ class CSE(BatchUpdatable, CardinalityEstimator):
         """Vectorised engine path: process a whole encoded batch at once.
 
         Bit-identical to the scalar loop.  The scalar path refreshes only the
-        *arriving* user's estimate after each pair, so after a batch each
-        user's cached estimate reflects the shared array **as of that user's
-        last arrival** — later pairs of other users are not folded in.  The
-        batch path reproduces this exactly by time-travel: it detects the
-        batch's bit-flip events, then reconstructs each user's virtual-zero
-        count and the global zero count at the user's last arrival position
-        from the event list, and evaluates the array closed form over those
-        columns (the global term once per distinct global zero count).
+        *arriving* user's estimate after each pair, so each user's cached
+        estimate reflects the shared array **as of that user's last
+        arrival** — later pairs of other users are not folded in.  The batch
+        path detects the batch's bit-flip events and commits them, then
+        defers the estimates (:meth:`UserArena.defer`): it records each
+        batch user's last arrival and logs the flips (bit, arrival time) for
+        :meth:`settle`.
         """
         count = len(batch)
         if count == 0:
             return
         arena_codes = self._intern_batch(batch)
-        positions_matrix = self._arena.positions_rows(arena_codes)
         buckets = (
             batch.item_hashes_with_seed(self.seed ^ 0xD1) % np.uint64(self.m)
         ).astype(np.int64)
-        bit_indices = positions_matrix[batch.user_codes, buckets]
+        bit_indices = self._arena.positions_at(arena_codes, batch.user_codes, buckets)
 
         events = bit_change_events(bit_indices, ~self._bits.get_bits(bit_indices))
         event_bits = bit_indices[events]
-
-        # Per-user reconstruction times: the last arrival of each user.
-        last_arrival = last_occurrence(batch.user_codes, batch.n_users)
-
-        # Virtual-zero counts as of each user's last arrival: a queried bit is
-        # zero at time t iff it was zero at batch start and its flip event (if
-        # any) happens strictly after t.  Only positions whose bit flips in
-        # this batch need the flip-time lookup; every other bit keeps its
-        # batch-start state.
-        flat_positions = positions_matrix.ravel()
-        zero_then = ~self._bits.get_bits(flat_positions)
-        touched = touched_query_positions(flat_positions, event_bits, self.M)
-        if touched.size:
-            order = np.argsort(event_bits)
-            flip_times = event_time_for_index(
-                flat_positions[touched], event_bits[order], events[order], missing=count
-            )
-            zero_then[touched] &= flip_times > last_arrival[touched // self.m]
-        virtual_zeros = zero_then.reshape(batch.n_users, self.m).sum(axis=1)
-
-        # Global zero counts as of each user's last arrival: one flip per
-        # event, events ascending in arrival order.
-        flips_so_far = np.searchsorted(events, last_arrival, side="right")
-        corrections = map_distinct(
-            self._bits.zeros - flips_so_far,
-            lambda global_zeros: self._correction(global_zeros / self.M),
-        )
-
-        # Commit the array state, then publish the time-correct estimates.
         if event_bits.size:
             self._bits.set_new_bits(event_bits)
-        self._arena.set_estimates(
-            arena_codes, self._estimates_from_counts(virtual_zeros, corrections)
+        start = self._arena.clock
+        self._arena.defer(
+            arena_codes,
+            start + last_occurrence(batch.user_codes, batch.n_users),
+            count,
+            (event_bits, start + events),
+            int(events.size),
         )
+
+    def settle(self) -> None:
+        """Work out every cached estimate :meth:`update_encoded` deferred.
+
+        Each owed user's estimate reads the shared array as of its last
+        arrival, by time-travel over the flips logged since the previous
+        settle.  A bit was zero then iff it is zero now or its flip came
+        later, so the virtual-zero counts need the flip-time lookup only at
+        positions whose bit flipped in the log, and the global zero count
+        is the current one plus the flips the user did not see.  The closed
+        form runs over those columns (the global term once per distinct
+        global zero count), in blocks of users of bounded size: the same
+        integers and floats as the scalar path, bit for bit.
+        """
+        pending = self._arena.take_pending()
+        if pending is None:
+            return
+        codes, arrivals, log = pending
+        flip_bits = np.concatenate([bits for bits, _times in log])
+        flip_times = np.concatenate([times for _bits, times in log])
+        # Flips each user saw by its last arrival (the times ascend).
+        seen = np.searchsorted(flip_times, arrivals, side="right")
+        corrections = map_distinct(
+            self._bits.zeros + flip_bits.size - seen,
+            lambda global_zeros: self._correction(global_zeros / self.M),
+        )
+        # Each flipped bit's 1-based flip ordinal: a flip came after a
+        # user's last arrival iff its ordinal exceeds what the user saw.
+        order = np.argsort(flip_bits)
+        bits_sorted, ordinals = flip_bits[order], order + 1
+        for block in row_blocks(codes.size, self.m):
+            flat_positions = self._arena.positions_rows(codes[block]).ravel()
+            zero_then = ~self._bits.get_bits(flat_positions)
+            touched = touched_query_positions(flat_positions, flip_bits, self.M)
+            if touched.size:
+                flipped_at = event_time_for_index(
+                    flat_positions[touched], bits_sorted, ordinals, missing=0
+                )
+                zero_then[touched] |= flipped_at > seen[block][touched // self.m]
+            virtual_zeros = zero_then.reshape(-1, self.m).sum(axis=1)
+            self._arena.set_estimates(
+                codes[block], self._estimates_from_counts(virtual_zeros, corrections[block])
+            )
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
+        self.settle()
         return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch cached estimates in input order (the ``estimate`` semantics)."""
+        self.settle()
         return self._arena.estimate_column(users).tolist()
 
     def estimate_fresh(self, user: object) -> float:
@@ -258,6 +289,7 @@ class CSE(BatchUpdatable, CardinalityEstimator):
 
     def estimates(self) -> dict[object, float]:
         """Return the latest cached estimate of every observed user."""
+        self.settle()
         return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:

@@ -16,13 +16,23 @@ when the raw harmonic estimate is below ``2.5 m``.
 
 Complexity: O(m) per estimate refresh (Challenge 2 of the paper); the
 streaming wrapper refreshes only the arriving user's estimate per update,
-matching the evaluation protocol of Section V-B.
+matching the evaluation protocol of Section V-B.  The scalar ``update``
+refreshes it on every pair.  The batch path keeps the same values but
+defers them: it commits a batch's register raises and logs them, and the
+first read of the cached estimates works out every owed value in one pass
+over the log (:meth:`VirtualHLL.settle`).  A read therefore costs O(m) per
+user that arrived since the previous read; the served sliding merge reads
+the array, not the cached values, so it does not pay it.  The one settle
+on the ingest path is the batch path's own: it settles once the log holds
+``M`` raises, so the log stays O(M) however long reads stay away, and an
+epoch of many raises pays one settle every ``M`` of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from repro.engine.kernels import (
     last_occurrence,
     map_distinct,
     register_change_events,
+    row_blocks,
     touched_query_positions,
     value_after_events,
 )
@@ -56,6 +67,21 @@ def _linear_terms(m: int) -> np.ndarray:
     table = np.array(terms, dtype=np.float64)
     table.flags.writeable = False
     return table
+
+
+class _Raises(NamedTuple):
+    """One batch's register raises, as the pending log keeps them."""
+
+    registers: np.ndarray
+    #: Arrival time of each raise (ascending).
+    times: np.ndarray
+    #: Each register's value just before its raise, and the raised value.
+    old: np.ndarray
+    new: np.ndarray
+    #: The array's harmonic sum and zero count before the first raise, then
+    #: after each raise (one longer than ``registers``).
+    harmonic: np.ndarray
+    zeros: np.ndarray
 
 
 class VirtualHLL(BatchUpdatable, CardinalityEstimator):
@@ -161,7 +187,12 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
     # -- streaming API --------------------------------------------------------
 
     def update(self, user: object, item: object) -> float:
-        """Process one (user, item) pair; refresh only this user's estimate (O(m))."""
+        """Process one (user, item) pair; refresh only this user's estimate (O(m)).
+
+        Settles first: the log the deferred estimates read does not record
+        this path's raises.
+        """
+        self.settle()
         code = self._arena.intern(user)
         positions = self._arena.positions_row(code)
         item_hash = hash64(item, seed=self.seed ^ 0xD2)
@@ -179,87 +210,125 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
 
         Bit-identical to the scalar loop.  As with CSE, a user's cached
         estimate must reflect the shared array **as of that user's last
-        arrival**, so the batch path works by time-travel: it detects the
-        register-raising events with the shared prefix-maximum kernel,
-        replays only those (rare) events through the register array so the
-        incrementally-maintained harmonic sum takes exactly the scalar value
-        trajectory, and reconstructs each user's ``m`` register values at its
-        last arrival from the event list before evaluating the array closed
-        form over those rows (the global term once per distinct global
-        state).
+        arrival**.  The batch path detects the register-raising events with
+        the shared prefix-maximum kernel and replays only those (rare)
+        events through the register array, so the incrementally-maintained
+        harmonic sum takes exactly the scalar value trajectory.  It then
+        defers the estimates (:meth:`UserArena.defer`): it records each
+        batch user's last arrival and logs the raises with that trajectory
+        for :meth:`settle`, which it runs itself once the log holds ``M``
+        raises.
         """
         count = len(batch)
         if count == 0:
             return
         arena_codes = self._intern_batch(batch)
-        positions_matrix = self._arena.positions_rows(arena_codes)
         item_hashes = batch.item_hashes_with_seed(self.seed ^ 0xD2)
         buckets = (item_hashes % np.uint64(self.m)).astype(np.int64)
         ranks = geometric_rank_array(
             splitmix64_array(item_hashes), max_rank=self._registers.max_value
         )
-        register_indices = positions_matrix[batch.user_codes, buckets]
+        register_indices = self._arena.positions_at(arena_codes, batch.user_codes, buckets)
 
-        # Snapshot everything the reconstruction needs *before* mutating.
-        flat_positions = positions_matrix.ravel()
-        initial_user_values = self._registers.get_many(flat_positions)
         harmonic_at_start = self._registers.harmonic_sum
         zeros_at_start = self._registers.zeros
-
-        positions, event_registers, _, event_ranks = register_change_events(
+        positions, event_registers, old_values, event_ranks = register_change_events(
             register_indices, ranks, self._registers.get_many(register_indices)
         )
-
-        # Replay the events in arrival order through the shared array.  The
-        # bulk update keeps the incremental harmonic-sum bookkeeping on
-        # exactly the scalar floating-point trajectory; the per-event
-        # snapshots give the global statistics at any arrival position.
+        # Replay the events in arrival order through the shared array; the
+        # per-event snapshots give the global statistics at any arrival.
         harmonic_after_event, zeros_after_event = self._registers.apply_max_updates(
             event_registers, event_ranks
         )
-
-        # Reconstruct each user's register values at its last arrival.  Only
-        # the queried positions whose register actually changed in this batch
-        # need the time-travel search; every other position keeps its initial
-        # value.
-        last_arrival = last_occurrence(batch.user_codes, batch.n_users)
-        values_then = initial_user_values.copy()
-        touched = touched_query_positions(flat_positions, event_registers, self.M)
-        if touched.size:
-            event_order = np.lexsort((positions, event_registers))
-            values_then[touched] = value_after_events(
-                flat_positions[touched],
-                last_arrival[touched // self.m],
-                event_registers[event_order],
-                positions[event_order],
-                event_ranks[event_order],
-                initial_user_values[touched],
-                horizon=count + 1,
-            )
-        values_then = values_then.reshape(batch.n_users, self.m)
-
-        # The global statistics as of each user's last arrival: the state
-        # after its last preceding event (index 0 is the batch start).
-        events_so_far = np.searchsorted(positions, last_arrival, side="right")
-        harmonic_then = np.concatenate(([harmonic_at_start], harmonic_after_event))
-        zeros_then = np.concatenate(([zeros_at_start], zeros_after_event))
-        global_terms = map_distinct(
-            events_so_far,
-            lambda seen: self._global_term(float(harmonic_then[seen]), int(zeros_then[seen])),
+        start = self._arena.clock
+        raises = _Raises(
+            event_registers,
+            start + positions,
+            old_values,
+            event_ranks,
+            np.concatenate(([harmonic_at_start], harmonic_after_event)),
+            np.concatenate(([zeros_at_start], zeros_after_event)),
         )
-        self._arena.set_estimates(
+        self._arena.defer(
             arena_codes,
-            self._estimates_from_stats(
-                row_harmonic_sums(values_then), row_zero_counts(values_then), global_terms
-            ),
+            start + last_occurrence(batch.user_codes, batch.n_users),
+            count,
+            raises,
+            int(positions.size),
         )
+        if self._arena.pending_events >= self.M:
+            self.settle()
+
+    def settle(self) -> None:
+        """Work out every cached estimate :meth:`update_encoded` deferred.
+
+        Each owed user's estimate reads the shared array as of its last
+        arrival, by time-travel over the raises logged since the previous
+        settle.  The array as the log found it is the current one with each
+        raised register put back to its value before its first raise; a
+        user's ``m`` register values at its arrival replay the raises it saw
+        onto that (only at positions whose register was raised), and the
+        global statistics are the trajectory's entry after the last raise it
+        saw.  The closed form runs over those rows (the global term once per
+        distinct global state), in blocks of users of bounded size: the same
+        integers and floats as the scalar path, bit for bit.
+        """
+        pending = self._arena.take_pending()
+        if pending is None:
+            return
+        codes, arrivals, log = pending
+        registers = np.concatenate([raises.registers for raises in log])
+        times = np.concatenate([raises.times for raises in log])
+        # The global statistics before the first raise, then after each.
+        harmonic = np.concatenate([log[0].harmonic[:1], *[raises.harmonic[1:] for raises in log]])
+        zeros = np.concatenate([log[0].zeros[:1], *[raises.zeros[1:] for raises in log]])
+        # Raises each user saw by its last arrival (the times ascend).
+        seen = np.searchsorted(times, arrivals, side="right")
+        global_terms = map_distinct(
+            seen,
+            lambda raised: self._global_term(float(harmonic[raised]), int(zeros[raised])),
+        )
+        # Raises sorted by (register, arrival), timed by 1-based ordinal: a
+        # user saw exactly the raises whose ordinal is at most its count.
+        order = np.argsort(registers, kind="stable")
+        registers_sorted, ordinals = registers[order], order + 1
+        raised_to = np.concatenate([raises.new for raises in log])[order]
+        old = np.concatenate([raises.old for raises in log])[order]
+        first = np.flatnonzero(np.diff(registers_sorted, prepend=-1))
+        at_log_start = self._registers.values.copy()
+        at_log_start[registers_sorted[first]] = old[first]
+        for block in row_blocks(codes.size, self.m):
+            flat_positions = self._arena.positions_rows(codes[block]).ravel()
+            values_then = at_log_start[flat_positions].astype(np.int64)
+            touched = touched_query_positions(flat_positions, registers, self.M)
+            if touched.size:
+                values_then[touched] = value_after_events(
+                    flat_positions[touched],
+                    seen[block][touched // self.m],
+                    registers_sorted,
+                    ordinals,
+                    raised_to,
+                    values_then[touched],
+                    horizon=registers.size + 1,
+                )
+            values_then = values_then.reshape(-1, self.m)
+            self._arena.set_estimates(
+                codes[block],
+                self._estimates_from_stats(
+                    row_harmonic_sums(values_then),
+                    row_zero_counts(values_then),
+                    global_terms[block],
+                ),
+            )
 
     def estimate(self, user: object) -> float:
         """Return the latest cached estimate of ``user`` (0.0 for unseen users)."""
+        self.settle()
         return self._arena.estimate_of(user)
 
     def estimate_many(self, users):
         """Batch cached estimates in input order (the ``estimate`` semantics)."""
+        self.settle()
         return self._arena.estimate_column(users).tolist()
 
     def estimate_fresh(self, user: object) -> float:
@@ -319,6 +388,7 @@ class VirtualHLL(BatchUpdatable, CardinalityEstimator):
 
     def estimates(self) -> dict[object, float]:
         """Return the latest cached estimate of every observed user."""
+        self.settle()
         return self._arena.estimates_dict()
 
     def memory_bits(self) -> int:

@@ -25,6 +25,13 @@ Implementations must provide:
 ``memory_bits()``
     Accounted memory of the shared sketch structures (per-user counters are
     excluded, as in the paper's comparison).
+
+``settle()`` (optional)
+    Work out any cached estimates the batch path deferred.  CSE and vHLL
+    defer them (see their modules) and settle inside every read; callers
+    that read an estimator's arena directly (serialization, a whole-object
+    merge that keeps the target's cached estimates) call it first.  The
+    default has nothing to do.
 """
 
 from __future__ import annotations
@@ -77,6 +84,9 @@ class CardinalityEstimator(ABC):
     @abstractmethod
     def memory_bits(self) -> int:
         """Return the accounted memory of the shared sketch in bits."""
+
+    def settle(self) -> None:
+        """Work out any cached estimates the batch path deferred (none here)."""
 
     # -- conveniences shared by all implementations ---------------------------
 

@@ -437,6 +437,8 @@ def to_obj(estimator) -> dict:
     re-parse round-trip per estimator.
     """
     kind, body = _dump_body(estimator)
+    # The envelope carries the cached estimates: work out deferred ones first.
+    estimator.settle()
     return {
         "format": "freesketch-snapshot",
         "version": _FORMAT_VERSION,

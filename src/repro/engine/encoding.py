@@ -209,9 +209,10 @@ class EncodedBatch:
         """Vectorised encoding for streams of integer users and items.
 
         Users are listed in first-seen order, as :meth:`from_pairs` lists
-        them, and are Python ints: the result equals ``from_pairs`` of the
-        same pairs field for field.  Accepts signed, unsigned and ``object``
-        (big Python int) arrays; the
+        them, and are Python ints (a ``bool`` in an ``object`` array stays a
+        bool): the result equals ``from_pairs`` of the same pairs field for
+        field.  Accepts signed, unsigned and ``object`` (big Python int)
+        arrays; the
         folds match the scalar path for every representable id, including
         negative and ``>= 2**63`` values (see :func:`repro.hashing.fold_key_array`).
         Float arrays are rejected: they cannot represent 64-bit ids exactly,
@@ -227,7 +228,10 @@ class EncodedBatch:
         unique_users, codes = _first_seen_codes(users)
         keys = unique_users.tolist()
         if unique_users.dtype.kind == "O":
-            keys = [int(key) for key in keys]
+            # numpy integers become Python ints; a bool stays the object
+            # given, as from_pairs keeps it (and so keeps the batch off the
+            # int64 column).
+            keys = [key if isinstance(key, (bool, np.bool_)) else int(key) for key in keys]
         return cls(
             user_codes=codes,
             user_hashes=fold_key_array(unique_users),

@@ -16,8 +16,11 @@ this module provides independent of any particular estimator:
 ``value_after_events`` / ``event_time_for_index`` / ``last_occurrence`` /
 ``grouped_indices``
     Time-travel lookups: reconstruct the state of a cell *as of a given
-    arrival position* from the batch's event list, so per-user estimates can
-    be evaluated at each user's last arrival exactly as the scalar paths do.
+    arrival position* from an event list, so per-user estimates can be
+    evaluated at each user's last arrival exactly as the scalar paths do.
+    CSE and vHLL run them when their deferred estimates are first read,
+    over every event logged since the previous read (``row_blocks`` cuts
+    the users into blocks of bounded size).
 
 ``map_distinct``
     A scalar formula as a column: evaluated once per distinct key (CSE's
@@ -210,6 +213,26 @@ def touched_query_positions(
     present = np.zeros(domain_size, dtype=bool)
     present[event_indices] = True
     return np.nonzero(present[query_indices])[0]
+
+
+#: Cells per :func:`row_blocks` block (an ``int64`` block matrix is 2 MiB).
+#: Settling 5,364 owed CSE or vHLL users (m = 1024, 2 CPUs) took the same
+#: time at 2^18 to 2^20 cells and longer at 2^16 or 2^22, while its peak
+#: temporaries grow with the block: 7.5 / 12 MiB (CSE / vHLL) at 2^18
+#: against 22 / 37 MiB at 2^20.
+_SETTLE_BLOCK_CELLS = 1 << 18
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices that cover ``range(rows)`` in blocks of about 2^18 cells.
+
+    Each block holds ``_SETTLE_BLOCK_CELLS // width`` rows of ``width``
+    cells (one row at least), so a per-row matrix built per block stays
+    bounded however many rows there are.
+    """
+    step = max(1, _SETTLE_BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 def grouped_indices(

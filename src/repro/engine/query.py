@@ -7,7 +7,8 @@ from the shared array and reducing them (zero counts, harmonic sums).
 Done per user this is an O(m) Python round-trip; done for a batch it is a
 single ``(n_users, m)`` gather plus one axis-1 numpy reduction.  (Cached
 estimates need no kernel: every estimator answers ``estimate_many`` with
-one :meth:`~repro.state.UserArena.estimate_column` gather.)
+one :meth:`~repro.state.UserArena.estimate_column` gather, once CSE and
+vHLL have settled what their batch paths deferred.)
 
 Every helper here is *bit-identical* to the scalar loop it replaces: the
 reductions produce exactly the integer counts / float sums the scalar

@@ -131,6 +131,11 @@ class ShardedEstimator(BatchUpdatable, CardinalityEstimator):
             combined.update(shard.estimates())
         return combined
 
+    def settle(self) -> None:
+        """Settle every shard's deferred estimates."""
+        for shard in self._shards:
+            shard.settle()
+
     def memory_bits(self) -> int:
         """Total accounted memory across all shards."""
         return sum(shard.memory_bits() for shard in self._shards)

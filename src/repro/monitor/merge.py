@@ -130,7 +130,9 @@ def merge_into(target, source, refresh_estimates: bool = True):
     ``refresh_estimates=False`` defers the re-evaluation of the exact
     methods' estimates (a per-user O(m) pass) — callers chaining several
     merges do one :func:`refresh_estimates` pass at the end instead of one
-    per merge.  The additive methods' estimate sums always accumulate.
+    per merge.  The target then keeps its cached estimates, so CSE/vHLL
+    settle what they owe against the array before the union.  The
+    additive methods' estimate sums always accumulate.
     """
     if type(target) is not type(source):
         raise TypeError(
@@ -203,12 +205,26 @@ def merged_copy(estimators: Sequence):
     if not estimators:
         raise ValueError("need at least one estimator to merge")
     merged = copy.deepcopy(estimators[0])
+    # The closing refresh rewrites every cached estimate, so the copy's
+    # deferred ones are dropped, not settled by the first merge.
+    _drop_deferred(merged)
     for source in estimators[1:]:
         # Defer the exact methods' O(users x m) estimate re-evaluation to a
         # single pass after the last merge.
         merge_into(merged, source, refresh_estimates=False)
     refresh_estimates_from_state(merged)
     return merged
+
+
+def _drop_deferred(estimator) -> None:
+    """Forget the cached estimates a CSE/vHLL estimator has not worked out."""
+    if isinstance(estimator, ShardedEstimator):
+        for shard in estimator._shards:
+            _drop_deferred(shard)
+        return
+    declared = MERGE_SPECS.get(type(estimator))
+    if declared is not None and declared.family == SHARED_ARRAY:
+        estimator._arena.drop_pending()
 
 
 def merged_estimates(estimators: Sequence) -> dict[object, float]:
@@ -283,6 +299,10 @@ class _SharedArrayPrefix:
 
     @staticmethod
     def merge(declared: MergeSpec, target, source, refresh: bool) -> None:
+        if not refresh:
+            # The target's deferred estimates read its array as it stands
+            # before the union.  A refresh rewrites them all instead.
+            target.settle()
         _union(declared, getattr(target, declared.array), source)
         # Publish source's users (0.0 for new ones) in its first-seen order.
         users, _values = source._arena.estimate_columns()

@@ -27,7 +27,7 @@ import numpy as np
 from repro import obs
 from repro.engine.base import hot_path
 from repro.engine.encoding import EncodedBatch
-from repro.monitor.merge import ADDITIVE, additive_rescore, as_columns, merge_exactness
+from repro.monitor.merge import ADDITIVE, additive_rescore, as_columns
 from repro.monitor.topk import TopKTracker
 from repro.monitor.window import Batch, WindowedEstimator
 from repro.state import FrozenScores, ScoreTable
@@ -171,11 +171,7 @@ class SpreaderMonitor:
 
     def _can_increment(self) -> bool:
         if self._incremental_capable is None:
-            try:
-                exactness = merge_exactness(self.window.live_epoch.estimator)
-            except TypeError:  # estimator without monitor merge support
-                exactness = None
-            self._incremental_capable = exactness == ADDITIVE
+            self._incremental_capable = self.window.window_exactness() == ADDITIVE
         return self._incremental_capable
 
     def sliding_estimates(self, last: int | None = None) -> Mapping[object, float]:

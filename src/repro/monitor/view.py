@@ -97,8 +97,9 @@ class ReadSnapshot:
     live_epoch: int
     last_timestamp: float | None
     window_epochs: int
-    #: Merge guarantee of the sliding estimates ("exact" or "additive").
-    exactness: str
+    #: Merge guarantee of the sliding estimates ("exact" or "additive"; None
+    #: for estimators that declare no merge).
+    exactness: str | None
     #: Clamped timestamp regressions observed so far.
     regressions: int
     enter_threshold: float

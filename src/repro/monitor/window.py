@@ -179,9 +179,17 @@ class WindowedEstimator:
         """
         return self._encoded
 
-    def window_exactness(self) -> str:
-        """Merge guarantee of sliding queries ("exact" or "additive")."""
-        return merge_exactness(self._ring[-1].estimator)
+    def window_exactness(self) -> str | None:
+        """Merge guarantee of sliding queries ("exact" or "additive").
+
+        None when the estimators declare no merge (``ExactCounter``): a
+        one-epoch window of them is still served, but has no guarantee to
+        name.
+        """
+        try:
+            return merge_exactness(self._ring[-1].estimator)
+        except TypeError:  # no merge declaration
+            return None
 
     # -- ingestion -------------------------------------------------------------
 

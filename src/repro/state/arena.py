@@ -15,11 +15,13 @@ column             dtype      meaning
 ``fold``           uint64     64-bit key fold (interner-owned; positions seed)
 ``positions``      int64      ``(capacity, m)`` contiguous physical-cell rows
 ``positions_ok``   bool       whether a user's dense positions row is materialised
+``arrival``        int64      the user's last batch arrival on the arena's
+                              clock (-1: none yet)
 =================  =========  ====================================================
 
 FreeBS/FreeRS and the per-user-sketch baselines (LPC, HLL++) build their
-arena without a hash family: estimate columns only, no folds and no
-positions.  CSE/vHLL use all five columns.
+arena without a hash family: estimate columns only, no folds, no positions
+and no arrivals.  CSE/vHLL use all six columns.
 
 Columns grow by amortised doubling; a grow copies the columns but never
 changes a code, so references held by query kernels stay valid.
@@ -41,6 +43,17 @@ Estimators read and write the columns through the methods below only:
 ``set_estimate(s)`` / ``add_estimate`` / ``publish`` / ``accumulate`` /
 ``load_estimates`` to write.  Published users iterate in intern order,
 which is the first-seen order every ranking tie-breaks on.
+
+Deferred estimates
+------------------
+
+CSE's and vHLL's batch paths publish a batch's users without working out
+their estimates (:meth:`UserArena.defer`): each user's last arrival goes
+into the ``arrival`` column, and the batch's change events into a pending
+log the arena keeps for the estimator.  The estimator's first read of its
+cached estimates takes both back (:meth:`UserArena.take_pending`) and
+works out every owed estimate in one pass.  ``set_all_estimates`` and
+``load_estimates`` overwrite what is owed, so they drop it.
 """
 
 from __future__ import annotations
@@ -120,6 +133,16 @@ class UserArena:
         else:
             self._positions = np.zeros((capacity, self._m), dtype=np.int64)
             self._positions_ok = np.zeros(capacity, dtype=np.bool_)
+        self._arrival = (
+            None if family is None else np.full(capacity, -1, dtype=np.int64)
+        )
+        #: Arrival clock: pairs deferred so far; ``_settled`` is its value
+        #: at the last take, so arrivals at or after it are still owed.
+        self._clock = 0
+        self._settled = 0
+        self._log: list[tuple[np.ndarray, ...]] = []
+        self._pending_events = 0
+        self._pending_bytes = 0
         self._growth_events = 0
         self._attach_gauges()
 
@@ -212,6 +235,10 @@ class UserArena:
         grown_has = np.zeros(new_capacity, dtype=np.bool_)
         grown_has[:capacity] = self._has_estimate
         self._has_estimate = grown_has
+        if self._arrival is not None:
+            grown_arrival = np.full(new_capacity, -1, dtype=np.int64)
+            grown_arrival[:capacity] = self._arrival
+            self._arrival = grown_arrival
         if self._positions is not None:
             assert self._positions_ok is not None
             if new_capacity > self._dense_limit:
@@ -310,7 +337,24 @@ class UserArena:
         """
         if self._positions is None:
             return self._family.positions_from_hashes(self._interner.folds(codes))
-        assert self._positions_ok is not None
+        self._materialise(codes)
+        return self._positions[codes]
+
+    def positions_at(self, codes: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """``positions_rows(codes)[rows, columns]``: one cell per (row, column).
+
+        The batch update paths' per-pair gather.  Dense mode reads the cells
+        straight off the positions block (after materialising any missing
+        rows of ``codes``) instead of copying every row first.
+        """
+        if self._positions is None:
+            return self.positions_rows(codes)[rows, columns]
+        self._materialise(codes)
+        return self._positions[codes[rows], columns]
+
+    def _materialise(self, codes: np.ndarray) -> None:
+        """Fill the dense rows of ``codes`` that are not materialised yet."""
+        assert self._positions is not None and self._positions_ok is not None
         ok = self._positions_ok[codes]
         if not ok.all():
             missing = codes[~ok]
@@ -318,7 +362,6 @@ class UserArena:
                 self._interner.folds(missing)
             )
             self._positions_ok[missing] = True
-        return self._positions[codes]
 
     def all_positions(self) -> np.ndarray:
         """``(n_users, m)`` positions of every user, in intern order.
@@ -359,7 +402,11 @@ class UserArena:
         self._estimate[codes] = values
 
     def set_all_estimates(self, values: Sequence[float]) -> None:
-        """Replace every tracked user's estimate, in intern order."""
+        """Replace every tracked user's estimate, in intern order.
+
+        Drops every deferred estimate: the new values replace them.
+        """
+        self.drop_pending()
         n = self.n_users
         self._estimate[:n] = np.asarray(values, dtype=np.float64)
         self._has_estimate[:n] = True
@@ -370,7 +417,9 @@ class UserArena:
 
         Users are interned in mapping order, so a restored estimator's
         first-seen order equals the order the snapshot was written in.
+        Drops every deferred estimate, as :meth:`set_all_estimates` does.
         """
+        self.drop_pending()
         self._has_estimate[: self.n_users] = False
         self._estimate_count = 0
         users = list(mapping)
@@ -470,10 +519,74 @@ class UserArena:
         safe = np.where(hit, codes, 0)
         return np.where(hit & self._has_estimate[safe], self._estimate[safe], 0.0)
 
+    # -- deferred estimates -----------------------------------------------------------
+
+    @property
+    def clock(self) -> int:
+        """The arrival time of the next deferred pair (pairs deferred so far)."""
+        return self._clock
+
+    @property
+    def pending_events(self) -> int:
+        """Change events logged since the last :meth:`take_pending`."""
+        return self._pending_events
+
+    def defer(
+        self,
+        codes: np.ndarray,
+        arrivals: np.ndarray,
+        pairs: int,
+        entry: tuple[np.ndarray, ...],
+        events: int,
+    ) -> None:
+        """Publish a batch's (unique) ``codes`` and owe them their estimates.
+
+        ``arrivals`` is each user's last arrival in the batch on the arrival
+        clock (the batch's first pair arrives at :attr:`clock`), which then
+        moves on by the batch's ``pairs``.  ``entry`` is the estimator's
+        record of the batch's ``events`` change events, as arrays; the
+        arena keeps it in the pending log, unread, until
+        :meth:`take_pending`, and counts its bytes in the bytes gauge.
+        """
+        self.publish(codes)
+        assert self._arrival is not None
+        self._arrival[codes] = arrivals
+        self._clock += pairs
+        self._log.append(entry)
+        self._pending_events += events
+        self._pending_bytes += sum(array.nbytes for array in entry)
+        self._report_bytes()
+
+    def take_pending(self) -> tuple[np.ndarray, np.ndarray, list[Any]] | None:
+        """Hand back everything deferred since the last take, and forget it.
+
+        Returns ``(codes, arrivals, log)``: the users owed an estimate in
+        code order, each one's last arrival, and the logged entries in batch
+        order.  None when nothing was deferred.
+        """
+        if self._clock == self._settled:
+            return None
+        assert self._arrival is not None
+        codes = np.flatnonzero(self._arrival[: self.n_users] >= self._settled)
+        pending = codes, self._arrival[codes], self._log
+        self.drop_pending()
+        return pending
+
+    def drop_pending(self) -> None:
+        """Forget every deferred estimate: their values are being replaced."""
+        self._settled = self._clock
+        self._log = []
+        self._pending_events = 0
+        if self._pending_bytes:
+            self._pending_bytes = 0
+            self._report_bytes()
+
     # -- accounting ----------------------------------------------------------------
 
     def _column_bytes(self) -> int:
         total = self._estimate.nbytes + self._has_estimate.nbytes
+        if self._arrival is not None:
+            total += self._arrival.nbytes + self._pending_bytes
         interner_folds = self._interner._folds
         if interner_folds is not None:
             total += interner_folds.nbytes

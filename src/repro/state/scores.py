@@ -267,13 +267,23 @@ class ScoreTable(Mapping):
         ]
 
     def top_codes(self, k: int) -> list[int]:
-        """Codes of the exact top-``k`` under ``(-score, rank)``, best first."""
+        """Codes of the exact top-``k`` under ``(-score, rank)``, best first.
+
+        One ``np.partition`` finds the ``k``-th best score, and only the
+        codes at least that good (every code tied with it included) go
+        through the ``lexsort``: the same codes in the same order as a
+        lexsort of the whole table.
+        """
         codes = self.ordered_codes()
         if codes.size == 0:
             return []
-        values = self._values[codes]
-        ranks = self._rank[codes]
-        selected = np.lexsort((ranks, -values))[:k]
+        negated = -self._values[codes]
+        if k < codes.size:
+            kth = np.partition(negated, k - 1)[k - 1]
+            # "Not worse than the k-th" also keeps NaNs, which sort last.
+            kept = np.flatnonzero(~(negated > kth))
+            codes, negated = codes[kept], negated[kept]
+        selected = np.lexsort((self._rank[codes], negated))[:k]
         return codes[selected].tolist()
 
     def key_at(self, code: int) -> object:

@@ -260,3 +260,22 @@ class TestFromIntArraysContract:
                     batch.subset(slice(start, stop)),
                     EncodedBatch.from_pairs(pairs[start:stop]),
                 )
+
+    @pytest.mark.parametrize(
+        "users", [[True, 5, True], [True, 1]], ids=["bool-int-bool", "bool-then-equal-int"]
+    )
+    def test_a_bool_user_stays_the_object_given(self, users):
+        """An ``object`` array's bool is listed as the bool, as ``from_pairs``
+        lists it, and the batch carries no ``int64`` column.  ``1 == True``,
+        so ``[True, 1]`` is one user, the first one seen."""
+        items = list(range(len(users)))
+        pairs = list(zip(users, items))
+        batch = EncodedBatch.from_int_arrays(np.array(users, dtype=object), np.array(items))
+        expected = EncodedBatch.from_pairs(pairs)
+        _assert_same_batch(batch, expected)
+        assert batch.users[0] is True
+        assert batch.user_column is None
+        for start in range(len(pairs) + 1):
+            for stop in range(start, len(pairs) + 1):
+                part = slice(start, stop)
+                _assert_same_batch(batch.subset(part), expected.subset(part))

@@ -40,6 +40,7 @@ from repro.monitor import (
     replay_feed,
 )
 from repro.runtime import batch_slices, ingest_handle_for_monitor
+from repro.service import EstimateService
 from repro.state import UserInterner
 from repro.state.interner import _VECTOR_MIN
 from repro.streams.stream import GraphStream
@@ -297,10 +298,16 @@ class TestScalarOnlyEstimators:
             expected.observe(chunk)
         by_feed = self._monitor()
         assert not by_feed.window.takes_encoded
-        # The feed's close-out record names the window's merge exactness,
-        # which ExactCounter does not declare; every pair is in by then.
-        with pytest.raises(TypeError, match="no monitor merge support"):
-            list(replay_feed(by_feed, stream, batch_size=500))
+        # ExactCounter declares no merge, so the window records name no
+        # exactness: null on the wire.
+        feed = list(replay_feed(by_feed, stream, batch_size=500))
+        windows = [record for record in feed if record["type"] == "window"]
+        assert windows and all(record["exactness"] is None for record in windows)
+        assert '"exactness": null' in json.dumps(windows[-1])
+        assert feed[-1]["type"] == "summary"
+        assert by_feed.read_snapshot().exactness is None
+        stats = EstimateService(by_feed).handle({"op": "stats"})
+        assert stats["ok"] and stats["result"]["exactness"] is None
         by_handle = self._monitor()
         handle = ingest_handle_for_monitor(by_handle, stream, batch_size=500).start()
         assert handle.join(timeout=30.0)

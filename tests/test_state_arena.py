@@ -480,6 +480,29 @@ class TestScoreTable:
             (table.key_at(c), table.value_at(c)) for c in table.top_codes(3)
         ] == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Few distinct scores, so many codes tie at the k-th score.
+        scores=st.lists(st.sampled_from([0.0, 1.0, 2.5, 2.5, 7.0]), min_size=1, max_size=40),
+        k=st.integers(1, 50),
+        deleted=st.sets(st.integers(0, 39), max_size=10),
+    )
+    def test_top_codes_equal_the_full_lexsort(self, scores, k, deleted):
+        """The partition preselect keeps exactly the full lexsort's codes and
+        order: ties at the k-th score, ``k = 1``, ``k >= n``, and a rank
+        order that is not code order (a replace that deleted keys, then
+        re-inserted them)."""
+        table = ScoreTable()
+        _put(table, range(len(scores)), scores)
+        kept = [key for key in range(len(scores)) if key not in deleted]
+        table.replace(kept, np.array([scores[key] for key in kept], dtype=np.float64))
+        _put(table, sorted(deleted), [3.0] * len(deleted))
+        codes = table.ordered_codes()
+        full = np.lexsort((table._rank[codes], -table._values[codes]))
+        assert table.top_codes(k) == codes[full][:k].tolist()
+        assert table.top_codes(1) == codes[full][:1].tolist()
+        assert table.top_codes(len(codes)) == codes[full].tolist()
+
     def test_threshold_candidates_preserve_insertion_order(self):
         table = ScoreTable()
         _put(table, ["a", "b", "c", "d"], [5.0, 1.0, 7.0, 5.0])
